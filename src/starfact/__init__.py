@@ -15,7 +15,6 @@ from .cayley import (
     Edge,
     build_model,
     export_edge_list,
-    omega_partition,
 )
 from .constructions import (
     ConstructionError,
@@ -52,7 +51,6 @@ from .serialize import (
     factorization_from_payload,
     factorization_payload,
     group_payload,
-    model_payload,
     starter_from_payload,
     starter_payload,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "LONG",
     "CayleyModel",
     "build_model",
-    "omega_partition",
     "export_edge_list",
     "StarterSet",
     "Starter",
@@ -97,7 +94,6 @@ __all__ = [
     "check_invariance",
     "canonical_json",
     "group_payload",
-    "model_payload",
     "starter_payload",
     "starter_from_payload",
     "factorization_payload",

@@ -18,7 +18,6 @@ __all__ = [
     "Edge",
     "CayleyModel",
     "build_model",
-    "omega_partition",
     "export_edge_list",
 ]
 
@@ -43,9 +42,6 @@ class CayleyModel:
     m: int
     n: int
     omega: frozenset[Element]
-    omega1: frozenset[Element]
-    omega2: frozenset[Element]
-    omega2_prime: frozenset[Element]
 
     @property
     def vertex_count(self) -> int:
@@ -86,10 +82,11 @@ class CayleyModel:
         return frozenset({d, self.group.neg(d)})
 
     def edge_vertices(self, e: Edge) -> frozenset[Element]:
-        """Both endpoints for a long edge; the canonical (lesser) endpoint for
-        a short one.  Either endpoint of a short edge lies in the same coset
-        of any subgroup containing its difference, so the choice is safe."""
-        self.edge_difference(e)
+        """Marked endpoints: both endpoints for a long edge; the canonical
+        (lesser) endpoint for a short one.  Either endpoint of a short edge
+        lies in the same coset of any subgroup containing its difference, so
+        the choice is safe.  No legality check, so verifiers can report an
+        illegal edge's other faults too."""
         if e.kind == SHORT:
             return frozenset({e.u})
         return frozenset({e.u, e.v})
@@ -100,10 +97,6 @@ class CayleyModel:
         if v < u:
             u, v = v, u
         return Edge(u, v, e.kind)
-
-    def edge_orbit(self, e: Edge) -> frozenset[Edge]:
-        """All translates {e + g : g in G} as a set of edges."""
-        return frozenset(self.translate_edge(e, g) for g in self.group.elements())
 
     @cached_property
     def all_edges(self) -> tuple[Edge, ...]:
@@ -126,10 +119,10 @@ class CayleyModel:
 
     def parts(self) -> list[frozenset[Element]]:
         """The m vertex classes, one per coset of H."""
-        return [
-            frozenset(self.group.add(rep, h) for h in self.H.elements)
-            for rep in self.group.cosets(self.H)
-        ]
+        parts: list[list[Element]] = [[] for _ in range(self.m)]
+        for a, c in zip(self.group.elements(), self.H.coset_of):
+            parts[c].append(a)
+        return [frozenset(p) for p in parts]
 
 
 def build_model(group: AbelianGroup, H: Subgroup) -> CayleyModel:
@@ -141,30 +134,13 @@ def build_model(group: AbelianGroup, H: Subgroup) -> CayleyModel:
     if H.order >= group.order:
         raise ValueError("H must be a proper subgroup")
     omega = frozenset(a for a in group.elements() if a not in H.elements)
-    invol = group.involutions
-    omega1 = frozenset(a for a in omega if a in invol)
-    omega2 = frozenset(
-        a for a in omega if a not in invol and a < group.neg(a)
-    )
-    omega2_prime = frozenset(group.neg(a) for a in omega2)
     return CayleyModel(
         group=group,
         H=H,
         m=group.order // H.order,
         n=H.order,
         omega=omega,
-        omega1=omega1,
-        omega2=omega2,
-        omega2_prime=omega2_prime,
     )
-
-
-def omega_partition(
-    model: CayleyModel,
-) -> tuple[frozenset[Element], frozenset[Element], frozenset[Element]]:
-    """Split Omega into involutions, lexicographically smaller pair members,
-    and their negatives."""
-    return model.omega1, model.omega2, model.omega2_prime
 
 
 def export_edge_list(model: CayleyModel) -> str:

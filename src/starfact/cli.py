@@ -203,9 +203,7 @@ def _cmd_groups(args) -> int:
                     "order": sub.order,
                     "generators": [list(g) for g in sub.generators],
                 }
-                for sub in sorted(
-                    all_subgroups(group), key=lambda s: (s.order, s.sorted_elements)
-                )
+                for sub in all_subgroups(group)
             ]
         out.append(entry)
     _write_text(args.out, canonical_json({"order": args.order, "groups": out}))

@@ -16,7 +16,6 @@ existence classifier for K_{m x n} under abelian groups.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .cayley import CayleyModel, build_model
@@ -27,7 +26,7 @@ from .starters import (
     StarterSet,
     check_coset_transversals,
     check_short_edge_membership,
-    edge_differences_unchecked,
+    difference_counts,
     verify_starter,
 )
 
@@ -173,31 +172,22 @@ def _assemble_family(
     return sets
 
 
-def _partial_report(model: CayleyModel, sets, A: Subgroup):
-    """Post-check for a partial starter: duplicate-free legal differences
-    covering all of A's share of Omega, with conditions 2 and 3 intact."""
-    problems = []
-    counts: Counter[Element] = Counter()
-    for i, sset in enumerate(sets):
-        for e in sset.edges:
-            d = model.group.sub(e.u, e.v)
-            if d not in model.omega:
-                problems.append(f"set {i}: illegal edge {e.u}~{e.v}")
-            else:
-                counts.update(edge_differences_unchecked(model, e))
+def _partial_report(model: CayleyModel, sets, A: Subgroup) -> tuple[list[Element], list[str]]:
+    """Uncovered differences of a partial starter, sorted, and every problem
+    that keeps it from completing through A: an illegal edge, a repeated
+    difference, a broken condition 2 or 3, or an uncovered difference in A."""
+    counts, illegal = difference_counts(model, sets)
+    problems = [f"set {i}: illegal edge {e.u}~{e.v}" for i, e in illegal]
     dups = sorted(d for d, c in counts.items() if c > 1)
     if dups:
-        problems.append(f"duplicated differences: {dups[:6]}")
-    missing = sorted(d for d in model.omega if d in A.elements and d not in counts)
-    if missing:
-        problems.append(f"uncovered differences inside the index-2 subgroup: {missing[:6]}")
-    c2 = check_coset_transversals(model, sets)
-    if not c2.ok:
-        problems.extend(c2.violations)
-    c3 = check_short_edge_membership(model, sets)
-    if not c3.ok:
-        problems.extend(c3.violations)
-    return problems
+        problems.append(f"repeats differences: {dups[:6]}")
+    problems += check_coset_transversals(model, sets).violations
+    problems += check_short_edge_membership(model, sets).violations
+    uncovered = sorted(d for d in model.omega if d not in counts)
+    inside = [d for d in uncovered if d in A.elements]
+    if inside:
+        problems.append(f"uncovered differences inside the index-2 subgroup: {inside[:6]}")
+    return uncovered, problems
 
 
 def build_prime_power_starter(p: int, v: int) -> tuple[Starter, Subgroup]:
@@ -225,7 +215,7 @@ def build_prime_power_starter(p: int, v: int) -> tuple[Starter, Subgroup]:
     for bridge_c in (0, 1):
         for anchor_y, anchor_z in anchor_candidates:
             sets = _assemble_family(model, params, bridge_c, anchor_y, anchor_z)
-            problems = _partial_report(model, sets, A)
+            _, problems = _partial_report(model, sets, A)
             if first_problems is None:
                 first_problems = problems
             if not problems:
@@ -270,28 +260,10 @@ def complete_via_index2(model: CayleyModel, partial: Starter, A: Subgroup) -> St
     group = model.group
     if A.index != 2:
         raise ValueError(f"completion subgroup must have index 2, found {A.index}")
-    counts: Counter[Element] = Counter()
-    for sset in partial.sets:
-        for e in sset.edges:
-            d = group.sub(e.u, e.v)
-            if d not in model.omega:
-                raise ConstructionError(f"partial starter has illegal edge {e.u}~{e.v}")
-            counts.update(edge_differences_unchecked(model, e))
-    dups = sorted(d for d, c in counts.items() if c > 1)
-    if dups:
-        raise ConstructionError(f"partial starter repeats differences: {dups[:6]}")
-    c2 = check_coset_transversals(model, partial.sets)
-    c3 = check_short_edge_membership(model, partial.sets)
-    if not (c2.ok and c3.ok):
+    uncovered, problems = _partial_report(model, partial.sets, A)
+    if problems:
         raise ConstructionError(
-            "partial starter breaks conditions 2/3: "
-            + "; ".join(c2.violations + c3.violations)
-        )
-    uncovered = sorted(d for d in model.omega if d not in counts)
-    inside = [d for d in uncovered if d in A.elements]
-    if inside:
-        raise ConstructionError(
-            f"uncovered differences lie inside the index-2 subgroup: {inside[:6]}"
+            "partial starter cannot be completed: " + "; ".join(problems), details=problems
         )
     if not uncovered:
         return partial
@@ -306,7 +278,7 @@ def complete_via_index2(model: CayleyModel, partial: Starter, A: Subgroup) -> St
         handled.add(w)
         handled.add(group.neg(w))
         edge = model.edge(ident, w)
-        companion = full if group.element_order(w) == 2 else A
+        companion = full if w in group.involutions else A
         new_sets.append(StarterSet((edge,), companion))
     provenance = dict(partial.provenance or {})
     provenance["completed_pairs"] = (len(uncovered) + 1) // 2

@@ -61,13 +61,6 @@ class AbelianGroup:
             )
         return tuple(int(c) % n for c, n in zip(coords, self.cyclic_orders))
 
-    def contains(self, a) -> bool:
-        return (
-            isinstance(a, tuple)
-            and len(a) == len(self.cyclic_orders)
-            and all(isinstance(c, int) and 0 <= c < n for c, n in zip(a, self.cyclic_orders))
-        )
-
     @cached_property
     def _elements(self) -> tuple[Element, ...]:
         return tuple(itertools.product(*(range(n) for n in self.cyclic_orders)))
@@ -124,9 +117,6 @@ class AbelianGroup:
     def subgroup(self, generators) -> Subgroup:
         return subgroup_from_generators(self, generators)
 
-    def trivial_subgroup(self) -> Subgroup:
-        return Subgroup(self, (), frozenset({self.identity()}))
-
     def full_subgroup(self) -> Subgroup:
         gens = []
         for i in range(len(self.cyclic_orders)):
@@ -138,15 +128,32 @@ class AbelianGroup:
     def cosets(self, sub: Subgroup) -> list[Element]:
         """Lexicographically least representative of each coset of sub,
         in lexicographic order."""
-        seen: set[Element] = set()
         reps: list[Element] = []
-        for a in self._elements:
-            if a in seen:
-                continue
-            reps.append(a)
-            for h in sub.elements:
-                seen.add(self.add(a, h))
+        for a, c in zip(self._elements, sub.coset_of):
+            if c == len(reps):
+                reps.append(a)
         return reps
+
+    @cached_property
+    def subgroups(self) -> tuple[Subgroup, ...]:
+        """Every subgroup, found by repeatedly adjoining single elements,
+        sorted by (order, sorted element list) so the listing is stable."""
+        ident = frozenset({self.identity()})
+        found: dict[frozenset[Element], tuple[Element, ...]] = {ident: ()}
+        queue = deque([ident])
+        while queue:
+            elems = queue.popleft()
+            gens = found[elems]
+            for g in self._elements:
+                if g in elems:
+                    continue
+                bigger = _extend_by_cyclic(self, elems, g)
+                if bigger not in found:
+                    found[bigger] = gens + (g,)
+                    queue.append(bigger)
+        subs = [Subgroup(self, gens, elems) for elems, gens in found.items()]
+        subs.sort(key=lambda s: (s.order, s.sorted_elements))
+        return tuple(subs)
 
     def isomorphism_key(self) -> tuple[tuple[int, int], ...]:
         """Multiset of prime-power invariants; equal keys mean isomorphic groups."""
@@ -177,8 +184,20 @@ class Subgroup:
     def sorted_elements(self) -> tuple[Element, ...]:
         return tuple(sorted(self.elements))
 
-    def contains(self, a: Element) -> bool:
-        return a in self.elements
+    @cached_property
+    def coset_of(self) -> tuple[int, ...]:
+        """Coset number of each group element, indexed by vertex index.
+        Cosets are numbered in the order of their least elements, so the
+        subgroup itself is coset 0."""
+        group = self.group
+        out = [-1] * group.order
+        count = 0
+        for i, a in enumerate(group.elements()):
+            if out[i] < 0:
+                for h in self.elements:
+                    out[group.vertex_index(group.add(a, h))] = count
+                count += 1
+        return tuple(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subgroup):
@@ -216,35 +235,19 @@ def subgroup_from_generators(group: AbelianGroup, generators) -> Subgroup:
     gens = tuple(group.element(g) for g in generators)
     elems = frozenset({group.identity()})
     for g in gens:
-        elems = _extend_by_cyclic(group, elems, g)
+        if g not in elems:
+            elems = _extend_by_cyclic(group, elems, g)
     return Subgroup(group, gens, elems)
 
 
 def all_subgroups(group: AbelianGroup) -> list[Subgroup]:
-    """Every subgroup, found by repeatedly adjoining single elements.
-
-    Returned sorted by (order, sorted element list), so the listing is stable.
-    """
-    ident = frozenset({group.identity()})
-    found: dict[frozenset[Element], tuple[Element, ...]] = {ident: ()}
-    queue = deque([ident])
-    while queue:
-        elems = queue.popleft()
-        gens = found[elems]
-        for g in group.elements():
-            if g in elems:
-                continue
-            bigger = _extend_by_cyclic(group, elems, g)
-            if bigger not in found:
-                found[bigger] = gens + (g,)
-                queue.append(bigger)
-    subs = [Subgroup(group, gens, elems) for elems, gens in found.items()]
-    subs.sort(key=lambda s: (s.order, s.sorted_elements))
-    return subs
+    """Every subgroup, sorted by (order, sorted element list); a fresh list
+    over the group's cached lattice."""
+    return list(group.subgroups)
 
 
 def subgroups_of_order(group: AbelianGroup, n: int) -> list[Subgroup]:
-    return [s for s in all_subgroups(group) if s.order == n]
+    return [s for s in group.subgroups if s.order == n]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -23,14 +23,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .cayley import CayleyModel, build_model
-from .groups import (
-    Subgroup,
-    all_subgroups,
-    enumerate_abelian_groups,
-    make_group,
-    subgroups_of_order,
-)
-from .serialize import starter_from_payload, starter_payload
+from .groups import Subgroup, enumerate_abelian_groups, make_group, subgroups_of_order
+from .serialize import starter_payload
 from .starters import OneFactorization, Starter, StarterSet, verify_starter
 
 __all__ = [
@@ -79,10 +73,12 @@ class _BudgetHit(Exception):
 
 
 class _Ctx:
-    """Index tables for one (group, H) model.
+    """Search tables for one (group, H) model.
 
-    Elements are their lexicographic ranks; subgroup data is flattened into
-    coset-rank arrays and bitmasks so the inner loop never touches tuples.
+    Elements are their vertex indices, which are their lexicographic ranks.
+    Companions come from the group's cached lattice and their coset numbers
+    from each subgroup's cached coset index, so the inner loop never touches
+    tuples.
     """
 
     def __init__(self, model: CayleyModel):
@@ -91,37 +87,21 @@ class _Ctx:
         self.n = group.order
         elems = group.elements()
         self.elems = elems
-        rank = {a: i for i, a in enumerate(elems)}
-        self.add = [[rank[group.add(a, b)] for b in elems] for a in elems]
-        self.neg = [rank[group.neg(a)] for a in elems]
-        self.omega_ids = sorted(rank[d] for d in model.omega)
-        self.omega_mask = 0
-        for i in self.omega_ids:
-            self.omega_mask |= 1 << i
-        self.invol = [group.element_order(a) == 2 for a in elems]
+        index = group.vertex_index
+        self.add = [[index(group.add(a, b)) for b in elems] for a in elems]
+        self.neg = [index(group.neg(a)) for a in elems]
+        self.omega_ids = sorted(index(d) for d in model.omega)
+        self.omega_mask = sum(1 << i for i in self.omega_ids)
+        self.invol = [a in group.involutions for a in elems]
 
-        subs = all_subgroups(group)
-        subs.sort(key=lambda s: (-s.order, s.sorted_elements))
-        self.companions = subs
-        self.comp_index = [group.order // s.order for s in subs]
-        self.comp_member = []
-        self.comp_coset = []
-        self.comp_invol_omega = []
-        for s in subs:
-            member = [a in s.elements for a in elems]
-            reps = group.cosets(s)
-            coset_rank = {}
-            for ci, r in enumerate(reps):
-                for h in s.elements:
-                    coset_rank[rank[group.add(r, h)]] = ci
-            coset = [coset_rank[i] for i in range(self.n)]
-            invol_mask = 0
-            for i in self.omega_ids:
-                if self.invol[i] and member[i]:
-                    invol_mask |= 1 << i
-            self.comp_member.append(member)
-            self.comp_coset.append(coset)
-            self.comp_invol_omega.append(invol_mask)
+        self.companions = sorted(group.subgroups, key=lambda s: (-s.order, s.sorted_elements))
+        self.comp_index = [s.index for s in self.companions]
+        # A subgroup is the coset of the identity, which is coset 0.
+        self.comp_member = [[c == 0 for c in s.coset_of] for s in self.companions]
+        self.comp_invol_omega = [
+            sum(1 << i for i in self.omega_ids if self.invol[i] and member[i])
+            for member in self.comp_member
+        ]
 
 
 @dataclass
@@ -173,7 +153,7 @@ class _Searcher:
         if not self._open_feasible(comp, w, covered):
             return []
         index = ctx.comp_index[comp]
-        coset = ctx.comp_coset[comp]
+        coset = ctx.companions[comp].coset_of
         out = []
         if ctx.invol[w]:
             new_cover = covered | (1 << w)
@@ -203,7 +183,7 @@ class _Searcher:
         is_inv = ctx.invol[w]
         for si, oset in enumerate(sets):
             member = ctx.comp_member[oset.comp]
-            coset = ctx.comp_coset[oset.comp]
+            coset = ctx.companions[oset.comp].coset_of
             if is_inv:
                 if oset.slots_left < 1 or not member[w]:
                     continue
@@ -317,15 +297,11 @@ def _run_branch(ctx: _Ctx, comp: int, cap: int | None, mode: str):
 
 
 def _branch_task(args):
+    """_run_branch in a worker process; hits come back as raw index data."""
     orders, h_gens, comp, cap, mode = args
     group = make_group(orders)
-    H = group.subgroup(h_gens)
-    ctx = _Ctx(build_model(group, H))
-    nodes, hits, aborted = _run_branch(ctx, comp, cap, mode)
-    payload_hits = [
-        (at, starter_payload(_witness_starter(ctx, sets))) for at, sets in hits
-    ]
-    return nodes, payload_hits, aborted
+    ctx = _Ctx(build_model(group, group.subgroup(h_gens)))
+    return _run_branch(ctx, comp, cap, mode)
 
 
 def search_starter(
@@ -353,37 +329,30 @@ def search_starter(
     if budget is not None and budget < 1:
         return SearchOutcome(BUDGET_EXCEEDED, None, 0, tried)
     cap = None if budget is None else budget - 1
+    # Replay sequential accounting: the root costs one node, then branches
+    # run in order against the remaining allowance.
+    total = 1
+    remaining = cap
 
     if workers <= 1 or len(branches) <= 1:
-        results = [_run_branch(ctx, comp, cap, mode) for comp in branches]
-
-        def rebuild(sets):
-            return _witness_starter(ctx, sets)
-
+        # Lazy, so the replay stops running branches once the outcome is
+        # decided; each branch is capped by the allowance left when it starts.
+        results = (_run_branch(ctx, comp, remaining, mode) for comp in branches)
     else:
         orders = list(model.group.cyclic_orders)
         h_gens = [list(g) for g in model.H.generators]
         tasks = [(orders, h_gens, comp, cap, mode) for comp in branches]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_branch_task, tasks))
-        rebuild = starter_from_payload
 
-    # Replay sequential accounting: the root costs one node, then branches
-    # run in order against the remaining allowance.
-    total = 1
-    remaining = cap
     collected: list[Starter] = []
     for nodes, hits, aborted in results:
         usable = [h for h in hits if remaining is None or h[0] <= remaining]
         if mode != "all" and usable:
             at, sets = usable[0]
-            starter = rebuild(sets)
-            report = verify_starter(starter)
-            if not report.passed:
-                raise RuntimeError("witness failed re-verification")
-            return SearchOutcome(FOUND, starter, total + at, tried)
+            return SearchOutcome(FOUND, _witness_starter(ctx, sets), total + at, tried)
         for _, sets in usable:
-            collected.append(rebuild(sets))
+            collected.append(_witness_starter(ctx, sets))
         if remaining is not None and (aborted or nodes > remaining):
             return SearchOutcome(
                 BUDGET_EXCEEDED,

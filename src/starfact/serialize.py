@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 
-from .cayley import CayleyModel, build_model
+from .cayley import build_model
 from .groups import AbelianGroup, Subgroup, make_group, subgroup_from_generators
 from .starters import OneFactorization, Starter, StarterSet
 
@@ -16,7 +16,6 @@ __all__ = [
     "canonical_json",
     "group_payload",
     "group_from_payload",
-    "model_payload",
     "starter_payload",
     "starter_from_payload",
     "factorization_payload",
@@ -40,15 +39,6 @@ def group_from_payload(payload: dict) -> AbelianGroup:
 
 def _gens_payload(sub: Subgroup) -> list[list[int]]:
     return [list(g) for g in sub.generators]
-
-
-def model_payload(model: CayleyModel) -> dict:
-    return {
-        "group": group_payload(model.group),
-        "H_generators": _gens_payload(model.H),
-        "m": model.m,
-        "n": model.n,
-    }
 
 
 def starter_payload(starter: Starter) -> dict:

@@ -50,9 +50,6 @@ class Starter:
     sets: tuple[StarterSet, ...]
     provenance: dict | None = None
 
-    def set_count(self) -> int:
-        return len(self.sets)
-
 
 @dataclass(frozen=True)
 class OneFactorization:
@@ -105,33 +102,28 @@ class InvalidStarterError(ValueError):
         self.report = report
 
 
-def edge_differences_unchecked(model: CayleyModel, e: Edge) -> tuple[Element, ...]:
-    """Difference contribution of an edge: one element for a short edge, the
-    pair {d, -d} for a long one.  No legality check."""
-    d = model.group.sub(e.u, e.v)
-    if e.kind == SHORT:
-        return (d,)
-    return tuple(sorted((d, model.group.neg(d))))
-
-
-def phi_vertices(e: Edge) -> tuple[Element, ...]:
-    """Marked endpoints: the canonical endpoint of a short edge, both of a
-    long one."""
-    if e.kind == SHORT:
-        return (e.u,)
-    return (e.u, e.v)
+def difference_counts(
+    model: CayleyModel, sets
+) -> tuple[Counter[Element], list[tuple[int, Edge]]]:
+    """How often the legal edges of the sets cover each difference, and the
+    (set number, edge) of every illegal edge, which covers nothing."""
+    counts: Counter[Element] = Counter()
+    illegal: list[tuple[int, Edge]] = []
+    for i, sset in enumerate(sets):
+        for e in sset.edges:
+            try:
+                counts.update(model.edge_difference(e))
+            except ValueError:
+                illegal.append((i, e))
+    return counts, illegal
 
 
 def check_difference_cover(model: CayleyModel, sets) -> ConditionVerdict:
     verdict = ConditionVerdict("condition 1 (differences cover Omega exactly once)")
-    counts: Counter[Element] = Counter()
-    for i, sset in enumerate(sets):
-        for e in sset.edges:
-            d = model.group.sub(e.u, e.v)
-            if d not in model.omega:
-                verdict.fail(f"set {i}: edge {e.u}~{e.v} is illegal (difference {d} in H)")
-                continue
-            counts.update(edge_differences_unchecked(model, e))
+    counts, illegal = difference_counts(model, sets)
+    for i, e in illegal:
+        d = model.group.sub(e.u, e.v)
+        verdict.fail(f"set {i}: edge {e.u}~{e.v} is illegal (difference {d} in H)")
     for d in sorted(counts):
         if counts[d] > 1:
             verdict.fail(f"difference {d} covered {counts[d]} times")
@@ -146,19 +138,14 @@ def check_coset_transversals(model: CayleyModel, sets) -> ConditionVerdict:
     group = model.group
     for i, sset in enumerate(sets):
         sub = sset.subgroup
-        reps = group.cosets(sub)
-        rep_of = {}
-        for r in reps:
-            for h in sub.elements:
-                rep_of[group.add(r, h)] = r
-        hits: Counter[Element] = Counter()
+        hits = [0] * sub.index
         for e in sset.edges:
-            for v in phi_vertices(e):
-                hits[rep_of[v]] += 1
-        for r in reps:
-            if hits[r] != 1:
+            for v in model.edge_vertices(e):
+                hits[sub.coset_of[group.vertex_index(v)]] += 1
+        for r, count in zip(group.cosets(sub), hits):
+            if count != 1:
                 verdict.fail(
-                    f"set {i}: coset of {r} has {hits[r]} marked endpoints"
+                    f"set {i}: coset of {r} has {count} marked endpoints"
                     f" (companion order {sub.order})"
                 )
     return verdict

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from starfact.cayley import LONG, SHORT, build_model, export_edge_list, omega_partition
+from starfact.cayley import LONG, SHORT, build_model, export_edge_list
 from starfact.groups import make_group, subgroups_of_order
 
 
@@ -36,24 +36,7 @@ def test_shape_k5x2():
     assert len(parts) == 5
     assert all(len(p) == 2 for p in parts)
     assert set().union(*parts) == set(m.group.elements())
-
-
-def test_omega_partition_examples():
-    # the only involution of Z_10 is 5, which lies in H
-    m = _model([10], [(5,)])
-    o1, o2, o2p = omega_partition(m)
-    assert o1 == frozenset()
-    assert o2 == frozenset({(1,), (2,), (3,), (4,)})
-    assert o2p == frozenset({(6,), (7,), (8,), (9,)})
-
-    m6 = _model([6], [(3,)])
-    assert omega_partition(m6)[0] == frozenset()
-
-    m22 = _model([2, 2], [(0, 1)])
-    o1, o2, o2p = omega_partition(m22)
-    assert o1 == frozenset({(1, 0), (1, 1)})
-    assert o2 == frozenset()
-    assert o2p == frozenset()
+    assert parts[0] == m.H.elements
 
 
 def test_edge_canonicalization_and_kinds():
@@ -95,21 +78,6 @@ def test_translate_preserves_difference():
         assert t.kind == e.kind
 
 
-def test_edge_orbits():
-    m4 = _model([4], [(2,)])
-    orbit = m4.edge_orbit(m4.edge((0,), (1,)))
-    assert len(orbit) == 4  # the whole 4-cycle
-
-    m6 = _model([6], [(3,)])
-    assert len(m6.edge_orbit(m6.edge((0,), (1,)))) == 6
-
-    m22 = _model([2, 2], [(1, 0)])
-    short_orbit = m22.edge_orbit(m22.edge((0, 0), (0, 1)))
-    assert len(short_orbit) == 2
-    covered = [v for e in short_orbit for v in (e.u, e.v)]
-    assert sorted(covered) == sorted(m22.group.elements())
-
-
 def test_short_orbits_are_perfect_matchings():
     # a short edge has a stabilizer of order 2, so its orbit has |G|/2 edges
     # covering every vertex exactly once
@@ -119,7 +87,7 @@ def test_short_orbits_are_perfect_matchings():
         shorts = [e for e in m.all_edges if e.kind == SHORT]
         if not shorts:
             continue
-        orbit = m.edge_orbit(shorts[0])
+        orbit = {m.translate_edge(shorts[0], g) for g in m.group.elements()}
         assert len(orbit) == m.group.order // 2
         covered = [v for e in orbit for v in (e.u, e.v)]
         assert sorted(covered) == sorted(m.group.elements())

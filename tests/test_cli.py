@@ -194,3 +194,8 @@ def test_doubling_invalid_starter_exits_1():
                 stdin=json.dumps(broken))
     assert r.returncode == FAIL
     assert "condition 2" in r.stderr
+
+
+def test_star_import_resolves_every_exported_name():
+    # a name left in __all__ after its definition is gone fails here
+    exec("from starfact import *", {})

@@ -125,6 +125,12 @@ def test_subgroup_lattice_sizes():
         assert keys == sorted(keys)
         for s in subs:
             assert g.order % s.order == 0
+        # each call hands out a fresh list over the same cached lattice
+        subs.sort(key=lambda s: -s.order)
+        again = all_subgroups(g)
+        assert [(s.order, s.sorted_elements) for s in again] == keys
+        assert again == all_subgroups(g)
+        assert again is not all_subgroups(g)
 
 
 def test_subgroups_of_order():
@@ -221,6 +227,14 @@ def test_subgroup_properties_random_sweep():
             assert not (coset & seen)
             seen |= coset
         assert len(seen) == g.order
+        # the coset index numbers the same classes in the same order
+        assert len(s.coset_of) == g.order
+        classes = [[] for _ in range(s.index)]
+        for a in elems:
+            classes[s.coset_of[g.vertex_index(a)]].append(a)
+        assert all(len(c) == s.order for c in classes)
+        assert [min(c) for c in classes] == reps
+        assert set(classes[0]) == s.elements
 
 
 def test_involution_count_random_sweep():

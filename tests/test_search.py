@@ -3,6 +3,8 @@ cross-check."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from starfact.cayley import build_model
@@ -71,6 +73,19 @@ def test_budget_ladder():
     out = search_starter(m, budget=13)
     assert out.status == FOUND
     assert out.nodes_explored == 13
+
+
+def test_decided_search_skips_later_branches():
+    # The witness lies 20 nodes in, inside the second root branch; the
+    # fourth branch holds millions of nodes, which a decided search must
+    # never walk.
+    m = _model([4, 9], [(1, 0)])
+    start = time.perf_counter()
+    for budget in (None, 5_000_000):
+        out = search_starter(m, budget=budget)
+        assert (out.status, out.nodes_explored) == (FOUND, 20), budget
+        assert verify_starter(out.witness).passed
+    assert time.perf_counter() - start < 5.0
 
 
 def test_worker_count_does_not_change_results():
