@@ -11,16 +11,23 @@ tried), or a new set opens with the anchored edge.  This visits a witness
 for every starter that exists.  Mode "all" drops the normalization and
 enumerates every starter literally, each exactly once.
 
+The walk applies each move to one mutable state and undoes it after the
+subtree below, and it keeps its levels on an explicit stack, so search depth
+has no recursion limit.
+
 Budgets count search-tree nodes in depth-first order.  Work splits across
 top-level branches (the companion choice of the first set); a merge step
 replays the sequential accounting, so status, witnesses, and node counts do
-not depend on the worker count.
+not depend on the worker count.  workers must be at least 1.  A multi-worker
+run starts at most one process per root branch, consumes branch results in
+order, and stops its workers once the outcome is decided.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
+from multiprocessing import Pool
 
 from .cayley import CayleyModel, build_model
 from .groups import Subgroup, enumerate_abelian_groups, make_group, subgroups_of_order
@@ -68,10 +75,6 @@ class SearchOutcome:
         return out
 
 
-class _BudgetHit(Exception):
-    pass
-
-
 class _Ctx:
     """Search tables for one (group, H) model.
 
@@ -104,158 +107,60 @@ class _Ctx:
         ]
 
 
-@dataclass
-class _OpenSet:
-    comp: int  # index into ctx.companions
-    slots_left: int
-    hit: set[int] = field(default_factory=set)  # coset ranks already used
-    edges: list[tuple[int, int]] = field(default_factory=list)
+def _placements(ctx: _Ctx, comp: int, w: int):
+    """(coset mark, edge) for each edge realizing difference w, by ascending
+    x.  An involution's edge {x, x + w} is listed once, from its lesser
+    endpoint; any other difference gives one edge per x.  The mark holds the
+    cosets of the companion that the endpoints lie in: one coset for a short
+    edge (w lies in the companion), two for a long one."""
+    coset = ctx.companions[comp].coset_of
+    row = ctx.add[w]
+    inv = ctx.invol[w]
+    for x in range(ctx.n):
+        y = row[x]
+        if x < y:
+            yield 1 << coset[x] | 1 << coset[y], (x, y)
+        elif not inv:
+            yield 1 << coset[x] | 1 << coset[y], (y, x)
 
 
-class _Searcher:
-    """Depth-first walk over one model, optionally restricted to a single
-    top-level branch so that branches can run in separate processes."""
+def _moves(ctx: _Ctx, sets: list, covered: int, w: int, comps, anchor: bool):
+    """Apply each move that covers difference w to sets in place, yield the
+    new cover, and undo the move before applying the next.
 
-    def __init__(self, ctx: _Ctx, cap: int | None, collect: bool, anchor: bool):
-        self.ctx = ctx
-        self.cap = cap
-        self.collect = collect
-        self.anchor = anchor
-        self.nodes = 0
-        self.stop = False
-        self.hits: list[tuple[int, list]] = []  # (node count at hit, sets)
-
-    def run_branch(self, branch_comp: int) -> None:
-        """Explore the subtree rooted at opening the first set with the given
-        companion.  Raises _BudgetHit when the node cap runs out."""
-        for move in self._open_moves(branch_comp, self.ctx.omega_ids[0], 0, []):
-            self._descend(*move)
-            if self.stop:
-                return
-
-    # -- move construction ------------------------------------------------
-
-    def _open_feasible(self, comp: int, w: int, covered: int) -> bool:
-        ctx = self.ctx
+    A set takes an edge realizing w when its companion contains w exactly
+    if w is an involution, and it has need slots left: 1 for a short edge, 2
+    for a long one.  Moves come in a fixed order: every placement in each
+    open set, then every placement on a fresh set of each companion in comps
+    whose index fits the uncovered differences.  With anchor, a fresh set
+    takes only its first placement, the edge at the identity.
+    """
+    inv = ctx.invol[w]
+    need = 1 if inv else 2
+    cover = covered | 1 << w | 1 << ctx.neg[w]
+    for s in sets:
+        comp, slots, hit, edges = s
+        if slots < need or ctx.comp_member[comp][w] != inv:
+            continue
+        for mark, edge in _placements(ctx, comp, w):
+            if mark & hit:
+                continue
+            s[1], s[2] = slots - need, hit | mark
+            edges.append(edge)
+            yield cover
+            s[1], s[2] = slots, hit
+            edges.pop()
+    uncovered = (ctx.omega_mask & ~covered).bit_count()
+    for comp in comps:
         index = ctx.comp_index[comp]
-        uncovered = len(ctx.omega_ids) - bin(covered & ctx.omega_mask).count("1")
-        if index > uncovered:
-            return False
-        if ctx.invol[w]:
-            return ctx.comp_member[comp][w]
-        return not ctx.comp_member[comp][w] and index >= 2
-
-    def _open_moves(self, comp: int, w: int, covered: int, sets: list[_OpenSet]):
-        """State deltas for opening a new set on an edge realizing w.  With
-        anchoring only [identity, w] is tried; without it every placement is
-        a separate move (fresh sets have no hit cosets, so all are legal)."""
-        ctx = self.ctx
-        if not self._open_feasible(comp, w, covered):
-            return []
-        index = ctx.comp_index[comp]
-        coset = ctx.companions[comp].coset_of
-        out = []
-        if ctx.invol[w]:
-            new_cover = covered | (1 << w)
-            for x in range(ctx.n):
-                y = ctx.add[x][w]
-                if y < x:
-                    continue
-                oset = _OpenSet(comp, index - 1, {coset[x]}, [(x, y)])
-                out.append((new_cover, sets + [oset]))
-                if self.anchor:
-                    break
-        else:
-            new_cover = covered | (1 << w) | (1 << ctx.neg[w])
-            for x in range(ctx.n):
-                y = ctx.add[x][w]
-                e = (x, y) if x < y else (y, x)
-                oset = _OpenSet(comp, index - 2, {coset[x], coset[y]}, [e])
-                out.append((new_cover, sets + [oset]))
-                if self.anchor:
-                    break
-        return out
-
-    def _extend_moves(self, w: int, covered: int, sets: list[_OpenSet]):
-        """All ways an already-open set can absorb an edge realizing w."""
-        ctx = self.ctx
-        out = []
-        is_inv = ctx.invol[w]
-        for si, oset in enumerate(sets):
-            member = ctx.comp_member[oset.comp]
-            coset = ctx.companions[oset.comp].coset_of
-            if is_inv:
-                if oset.slots_left < 1 or not member[w]:
-                    continue
-                new_cover = covered | (1 << w)
-                for x in range(ctx.n):
-                    y = ctx.add[x][w]
-                    if y < x:
-                        continue
-                    c = coset[x]
-                    if c in oset.hit:
-                        continue
-                    out.append(self._with_edge(sets, si, (x, y), {c}, new_cover, 1))
-            else:
-                if oset.slots_left < 2 or member[w]:
-                    continue
-                new_cover = covered | (1 << w) | (1 << ctx.neg[w])
-                for x in range(ctx.n):
-                    y = ctx.add[x][w]
-                    cx, cy = coset[x], coset[y]
-                    if cx in oset.hit or cy in oset.hit:
-                        continue
-                    e = (x, y) if x < y else (y, x)
-                    out.append(self._with_edge(sets, si, e, {cx, cy}, new_cover, 2))
-        return out
-
-    @staticmethod
-    def _with_edge(sets, si, edge, new_cosets, new_cover, used):
-        oset = sets[si]
-        replacement = _OpenSet(
-            oset.comp,
-            oset.slots_left - used,
-            oset.hit | new_cosets,
-            oset.edges + [edge],
-        )
-        return new_cover, sets[:si] + [replacement] + sets[si + 1 :]
-
-    # -- the walk ----------------------------------------------------------
-
-    def _descend(self, covered: int, sets: list[_OpenSet]) -> None:
-        ctx = self.ctx
-        self.nodes += 1
-        if self.cap is not None and self.nodes > self.cap:
-            self.nodes = self.cap
-            raise _BudgetHit
-        w = -1
-        for i in ctx.omega_ids:
-            if not covered & (1 << i):
-                w = i
+        if index > uncovered or ctx.comp_member[comp][w] != inv:
+            continue
+        for mark, edge in _placements(ctx, comp, w):
+            sets.append([comp, index - need, mark, [edge]])
+            yield cover
+            sets.pop()
+            if anchor:
                 break
-        if w < 0:
-            if any(s.slots_left for s in sets):
-                return
-            self.hits.append((self.nodes, [(s.comp, list(s.edges)) for s in sets]))
-            if not self.collect:
-                self.stop = True
-            return
-        uncovered = len(ctx.omega_ids) - bin(covered & ctx.omega_mask).count("1")
-        if sum(s.slots_left for s in sets) > uncovered:
-            return
-        free = ~covered
-        for s in sets:
-            if s.slots_left % 2 and not ctx.comp_invol_omega[s.comp] & free:
-                return
-        for move in self._extend_moves(w, covered, sets):
-            self._descend(*move)
-            if self.stop:
-                return
-        for comp in range(len(ctx.companions)):
-            for move in self._open_moves(comp, w, covered, sets):
-                self._descend(*move)
-                if self.stop:
-                    return
 
 
 def _witness_starter(ctx: _Ctx, witness_sets) -> Starter:
@@ -274,26 +179,50 @@ def _witness_starter(ctx: _Ctx, witness_sets) -> Starter:
 
 
 def _root_branches(ctx: _Ctx) -> list[int]:
-    # A fresh set has no hit cosets, so feasibility does not depend on the
-    # placement; the anchored probe decides for every mode.
-    probe = _Searcher(ctx, cap=None, collect=False, anchor=True)
-    w0 = ctx.omega_ids[0]
-    return [
-        comp
-        for comp in range(len(ctx.companions))
-        if probe._open_feasible(comp, w0, 0)
-    ]
+    # Anchored root moves open one set per companion that can take the
+    # least difference; a fresh set's feasibility does not depend on the
+    # placement, so these branches serve every mode.
+    sets: list = []
+    root = _moves(ctx, sets, 0, ctx.omega_ids[0], range(len(ctx.companions)), True)
+    return [sets[0][0] for _ in root]
 
 
 def _run_branch(ctx: _Ctx, comp: int, cap: int | None, mode: str):
-    """(nodes, hits, aborted) for one top-level branch."""
-    searcher = _Searcher(ctx, cap, collect=(mode == "all"), anchor=(mode != "all"))
-    aborted = False
-    try:
-        searcher.run_branch(comp)
-    except _BudgetHit:
-        aborted = True
-    return searcher.nodes, searcher.hits, aborted
+    """(nodes, hits, aborted) for the top-level branch that opens the first
+    set with the given companion.
+
+    One state holds the open sets as [companion, slots left, hit-coset
+    bitmask, edges]; each level's move generator changes it and restores it.
+    The levels sit on an explicit stack, so depth costs no Python frames.
+    """
+    collect = mode == "all"
+    anchor = not collect
+    sets: list[list] = []
+    hits: list[tuple[int, list]] = []  # (node count at hit, [(companion, edges)])
+    nodes = 0
+    every_comp = range(len(ctx.companions))
+    stack = [_moves(ctx, sets, 0, ctx.omega_ids[0], (comp,), anchor)]
+    while stack:
+        covered = next(stack[-1], 0)  # a move always covers w, so 0 means done
+        if not covered:
+            stack.pop()
+            continue
+        nodes += 1
+        if cap is not None and nodes > cap:
+            return cap, hits, True
+        free = ctx.omega_mask & ~covered
+        if sum(s[1] for s in sets) > free.bit_count():
+            continue
+        if not free:
+            hits.append((nodes, [(s[0], list(s[3])) for s in sets]))
+            if not collect:
+                break
+            continue
+        if any(s[1] % 2 and not ctx.comp_invol_omega[s[0]] & free for s in sets):
+            continue
+        w = (free & -free).bit_length() - 1
+        stack.append(_moves(ctx, sets, covered, w, every_comp, anchor))
+    return nodes, hits, False
 
 
 def _branch_task(args):
@@ -318,11 +247,14 @@ def search_starter(
     keeps going and reports every starter, with no normalization applied.
     budget limits the number of search-tree nodes; when it runs out the
     outcome is budget_exceeded, never a silent none_exists.  workers > 1
-    fans top-level branches out to processes; results are identical to the
-    single-process run.
+    fans top-level branches out to at most that many processes, one per
+    branch at most, which stop once the outcome is decided; results are
+    identical to the single-process run.  workers < 1 raises ValueError.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     ctx = _Ctx(model)
     branches = _root_branches(ctx)
     tried = tuple(ctx.companions[c] for c in branches)
@@ -333,37 +265,42 @@ def search_starter(
     # run in order against the remaining allowance.
     total = 1
     remaining = cap
-
-    if workers <= 1 or len(branches) <= 1:
-        # Lazy, so the replay stops running branches once the outcome is
-        # decided; each branch is capped by the allowance left when it starts.
-        results = (_run_branch(ctx, comp, remaining, mode) for comp in branches)
-    else:
-        orders = list(model.group.cyclic_orders)
-        h_gens = [list(g) for g in model.H.generators]
-        tasks = [(orders, h_gens, comp, cap, mode) for comp in branches]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_branch_task, tasks))
-
     collected: list[Starter] = []
-    for nodes, hits, aborted in results:
-        usable = [h for h in hits if remaining is None or h[0] <= remaining]
-        if mode != "all" and usable:
-            at, sets = usable[0]
-            return SearchOutcome(FOUND, _witness_starter(ctx, sets), total + at, tried)
-        for _, sets in usable:
-            collected.append(_witness_starter(ctx, sets))
-        if remaining is not None and (aborted or nodes > remaining):
-            return SearchOutcome(
-                BUDGET_EXCEEDED,
-                collected[0] if collected else None,
-                total + remaining,
-                tried,
-                tuple(collected),
-            )
-        total += nodes
-        if remaining is not None:
-            remaining -= nodes
+
+    parallel = workers > 1 and len(branches) > 1
+    # Leaving the block terminates the workers, so a decided replay stops
+    # the branches still running.
+    with Pool(min(workers, len(branches))) if parallel else nullcontext() as pool:
+        if pool is None:
+            # Lazy, so the replay stops running branches once the outcome is
+            # decided; each branch is capped by the allowance left when it
+            # starts.
+            results = (_run_branch(ctx, comp, remaining, mode) for comp in branches)
+        else:
+            orders = list(model.group.cyclic_orders)
+            h_gens = [list(g) for g in model.H.generators]
+            tasks = [(orders, h_gens, comp, cap, mode) for comp in branches]
+            results = pool.imap(_branch_task, tasks)
+        for nodes, hits, aborted in results:
+            usable = [h for h in hits if remaining is None or h[0] <= remaining]
+            if mode != "all" and usable:
+                at, sets = usable[0]
+                return SearchOutcome(
+                    FOUND, _witness_starter(ctx, sets), total + at, tried
+                )
+            for _, sets in usable:
+                collected.append(_witness_starter(ctx, sets))
+            if remaining is not None and (aborted or nodes > remaining):
+                return SearchOutcome(
+                    BUDGET_EXCEEDED,
+                    collected[0] if collected else None,
+                    total + remaining,
+                    tried,
+                    tuple(collected),
+                )
+            total += nodes
+            if remaining is not None:
+                remaining -= nodes
     if collected:
         return SearchOutcome(FOUND, collected[0], total, tried, tuple(collected))
     return SearchOutcome(NONE_EXISTS, None, total, tried)

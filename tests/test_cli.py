@@ -177,6 +177,8 @@ def test_usage_errors_exit_64():
     assert run_cli("construct", "--family", "doubling").returncode == USAGE
     assert run_cli("search", "--group", "4", "--H", "2",
                    "--frobnicate").returncode == USAGE
+    assert run_cli("search", "--group", "4", "--H", "2",
+                   "--workers", "0").returncode == USAGE
     assert run_cli("verify-starter", "/no/such/file.json").returncode == USAGE
 
 

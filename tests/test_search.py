@@ -3,10 +3,13 @@ cross-check."""
 
 from __future__ import annotations
 
+import inspect
+import sys
 import time
 
 import pytest
 
+import starfact.search
 from starfact.cayley import build_model
 from starfact.groups import enumerate_abelian_groups, make_group, subgroups_of_order
 from starfact.search import (
@@ -78,14 +81,58 @@ def test_budget_ladder():
 def test_decided_search_skips_later_branches():
     # The witness lies 20 nodes in, inside the second root branch; the
     # fourth branch holds millions of nodes, which a decided search must
-    # never walk.
+    # never walk, and whose worker a multi-process search must stop.
     m = _model([4, 9], [(1, 0)])
     start = time.perf_counter()
-    for budget in (None, 5_000_000):
-        out = search_starter(m, budget=budget)
-        assert (out.status, out.nodes_explored) == (FOUND, 20), budget
+    for budget, workers in ((None, 1), (5_000_000, 1), (None, 2)):
+        out = search_starter(m, budget=budget, workers=workers)
+        assert (out.status, out.nodes_explored) == (FOUND, 20), (budget, workers)
         assert verify_starter(out.witness).passed
     assert time.perf_counter() - start < 5.0
+
+
+def test_search_depth_has_no_recursion_limit():
+    # 44 sets deep; a walk that spends even one frame per level overflows
+    # a recursion limit only 40 frames above the caller.
+    m = _model([4, 22], [(2, 0)])
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        out = search_starter(m)
+    finally:
+        sys.setrecursionlimit(old)
+    assert (out.status, out.nodes_explored) == (FOUND, 89)
+    assert sum(len(s.edges) for s in out.witness.sets) == 44
+
+
+def test_pool_is_bounded_by_root_branches(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Runs tasks in this process and records the size asked for."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, tasks):
+            return map(func, tasks)
+
+    monkeypatch.setattr(starfact.search, "Pool", InProcessPool)
+    m = _model([12], [(4,)])  # four root branches
+    base = canonical_json(search_starter(m).payload())
+    for workers in (2, 100_000):
+        assert canonical_json(search_starter(m, workers=workers).payload()) == base
+    assert sizes == [2, 4]
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            search_starter(m, workers=workers)
+    assert sizes == [2, 4]
 
 
 def test_worker_count_does_not_change_results():
@@ -143,10 +190,18 @@ def test_enumerate_all_starters_klein():
 
 
 def test_enumeration_respects_budget():
-    out = search_starter(_model([4], [(2,)]), mode="all", budget=3)
-    assert out.status == BUDGET_EXCEEDED
-    assert out.nodes_explored == 3
-    assert len(out.witnesses) == 2
+    # the non-anchored tree, cut off by a budget and walked to the end
+    cases = [
+        ([4], [(2,)], 3, BUDGET_EXCEEDED, 3, 2),
+        ([6], [(2,)], None, FOUND, 55, 24),
+        ([2, 3], [(0, 1)], None, FOUND, 49, 24),
+        ([8], [(4,)], None, NONE_EXISTS, 657, 0),
+        ([12], [(4,)], 2000, BUDGET_EXCEEDED, 2000, 354),
+    ]
+    for orders, h_gens, budget, status, nodes, count in cases:
+        out = search_starter(_model(orders, h_gens), mode="all", budget=budget)
+        got = (out.status, out.nodes_explored, len(out.witnesses))
+        assert got == (status, nodes, count), (orders, h_gens, budget)
 
 
 def test_bad_mode_and_budget_zero():
