@@ -4,6 +4,9 @@ The graph on an abelian group G with a subgroup H of order n is
 Cay(G, Omega) with Omega = G minus H; the m = |G|/n parts are the cosets
 of H.  An edge is *short* when its endpoint difference is an involution
 (both differences coincide) and *long* otherwise.
+
+Vertices, differences and edges are vertex indices (see groups); coordinate
+tuples appear only in messages and in the starter JSON.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .groups import AbelianGroup, Element, Subgroup
+from .groups import AbelianGroup, Subgroup
 
 __all__ = [
     "Edge",
@@ -26,22 +29,23 @@ LONG = "long"
 
 
 class Edge(NamedTuple):
-    """Unordered edge stored with u lexicographically below v."""
+    """Unordered edge between vertex indices, stored with u < v."""
 
-    u: Element
-    v: Element
+    u: int
+    v: int
     kind: str
 
 
 @dataclass(frozen=True)
 class CayleyModel:
-    """K_{m x n} given by (group, H); vertex parts are the cosets of H."""
+    """K_{m x n} given by (group, H); vertex parts are the cosets of H.
+    Vertices, differences and Omega are vertex indices."""
 
     group: AbelianGroup
     H: Subgroup
     m: int
     n: int
-    omega: frozenset[Element]
+    omega: frozenset[int]
 
     @property
     def vertex_count(self) -> int:
@@ -51,37 +55,36 @@ class CayleyModel:
     def edge_count(self) -> int:
         return self.group.order * len(self.omega) // 2
 
-    def is_involution(self, d: Element) -> bool:
-        return d in self.group.involutions
-
-    def edge(self, u, v) -> Edge:
-        """Canonical edge, validated against the model (difference in Omega)."""
+    def edge(self, u: int, v: int) -> Edge:
+        """Canonical edge, validated against the model (ends in different parts)."""
         e = self.edge_unchecked(u, v)
-        d = self.group.sub(e.u, e.v)
-        if d not in self.omega:
-            raise ValueError(f"illegal edge {e.u} ~ {e.v}: difference {d} lies in H")
+        self.edge_difference(e)  # raises ValueError for an illegal edge
         return e
 
-    def edge_unchecked(self, u, v) -> Edge:
+    def edge_unchecked(self, u: int, v: int) -> Edge:
         """Canonical edge without the legality check; verifiers use this so
         that malformed input is reported rather than thrown."""
-        u = self.group.element(u)
-        v = self.group.element(v)
+        for x in (u, v):
+            if type(x) is not int:  # exactly int: no bool, float or str
+                raise ValueError(f"vertex index must be an integer, got {x!r}")
+            if not 0 <= x < self.group.order:
+                raise ValueError("vertex index out of range")
         if u == v:
-            raise ValueError(f"degenerate edge at {u}")
+            raise ValueError(f"degenerate edge at {self.group.elements()[u]}")
         if v < u:
             u, v = v, u
-        kind = SHORT if self.is_involution(self.group.sub(u, v)) else LONG
+        kind = SHORT if self.group.difference(u, v) in self.group.involutions else LONG
         return Edge(u, v, kind)
 
-    def edge_difference(self, e: Edge) -> frozenset[Element]:
+    def edge_difference(self, e: Edge) -> frozenset[int]:
         """{u-v, v-u} for a long edge, the single involution for a short one."""
-        d = self.group.sub(e.u, e.v)
-        if d not in self.omega:
-            raise ValueError(f"illegal edge {e.u} ~ {e.v}: difference {d} lies in H")
-        return frozenset({d, self.group.neg(d)})
+        d = self.group.difference(e.u, e.v)
+        if self.H.coset_of[d] == 0:
+            el = self.group.elements()
+            raise ValueError(f"illegal edge {el[e.u]} ~ {el[e.v]}: difference {el[d]} lies in H")
+        return frozenset({d, self.group.negs[d]})
 
-    def edge_vertices(self, e: Edge) -> frozenset[Element]:
+    def edge_vertices(self, e: Edge) -> frozenset[int]:
         """Marked endpoints: both endpoints for a long edge; the canonical
         (lesser) endpoint for a short one.  Either endpoint of a short edge
         lies in the same coset of any subgroup containing its difference, so
@@ -91,38 +94,29 @@ class CayleyModel:
             return frozenset({e.u})
         return frozenset({e.u, e.v})
 
-    def translate_edge(self, e: Edge, g: Element) -> Edge:
-        u = self.group.add(e.u, g)
-        v = self.group.add(e.v, g)
+    def translate_edge(self, e: Edge, row) -> Edge:
+        """The edge moved by g, where row is group.translation(g)."""
+        u, v = row[e.u], row[e.v]
         if v < u:
             u, v = v, u
         return Edge(u, v, e.kind)
 
     @cached_property
     def all_edges(self) -> tuple[Edge, ...]:
-        out = []
-        for u in self.group.elements():
-            for d in sorted(self.omega):
-                v = self.group.add(u, d)
-                if u < v:
-                    kind = SHORT if self.is_involution(d) else LONG
-                    out.append(Edge(u, v, kind))
-        out.sort()
-        return tuple(out)
-
-    def edge_index_pairs(self) -> list[tuple[int, int]]:
-        """Edges as (vertex index, vertex index) pairs, ascending."""
-        gi = self.group.vertex_index
-        pairs = [tuple(sorted((gi(e.u), gi(e.v)))) for e in self.all_edges]
-        pairs.sort()
-        return pairs
-
-    def parts(self) -> list[frozenset[Element]]:
-        """The m vertex classes, one per coset of H."""
-        parts: list[list[Element]] = [[] for _ in range(self.m)]
-        for a, c in zip(self.group.elements(), self.H.coset_of):
-            parts[c].append(a)
-        return [frozenset(p) for p in parts]
+        """Every pair of vertices in different parts, ascending.  The short
+        edges are {x, x + t} for the involutions t in Omega."""
+        order = self.group.order
+        coset = self.H.coset_of
+        short = set()
+        for t in self.omega & self.group.involutions:
+            row = self.group.translation(t)
+            short.update((x, y) for x, y in enumerate(row) if x < y)
+        return tuple(
+            Edge(u, v, SHORT if (u, v) in short else LONG)
+            for u in range(order)
+            for v in range(u + 1, order)
+            if coset[u] != coset[v]
+        )
 
 
 def build_model(group: AbelianGroup, H: Subgroup) -> CayleyModel:
@@ -133,7 +127,7 @@ def build_model(group: AbelianGroup, H: Subgroup) -> CayleyModel:
         raise ValueError("H must have order at least 2 (parts of size >= 2)")
     if H.order >= group.order:
         raise ValueError("H must be a proper subgroup")
-    omega = frozenset(a for a in group.elements() if a not in H.elements)
+    omega = frozenset(d for d, c in enumerate(H.coset_of) if c)
     return CayleyModel(
         group=group,
         H=H,
@@ -144,7 +138,7 @@ def build_model(group: AbelianGroup, H: Subgroup) -> CayleyModel:
 
 
 def export_edge_list(model: CayleyModel) -> str:
-    """Plain-text edge list: one 'i j' line per edge, ascending, using the
-    mixed-radix vertex indexing."""
-    lines = [f"{i} {j}" for i, j in model.edge_index_pairs()]
+    """Plain-text edge list: one 'i j' line of vertex indices per edge,
+    ascending."""
+    lines = [f"{e.u} {e.v}" for e in model.all_edges]
     return "\n".join(lines) + "\n"

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cayley import CayleyModel, build_model
-from .groups import Element, Subgroup, factorize, make_group
+from .groups import Subgroup, factorize, make_group
 from .starters import (
     InvalidStarterError,
     Starter,
@@ -85,7 +85,8 @@ class PrimePowerParams:
 def double_starter(starter: Starter) -> Starter:
     """Each input set S contributes two sets: one with both endpoints tagged
     0, one with the greater endpoint tagged 1.  Companions gain a Z_2 factor,
-    as does H, so the part count m is preserved while n doubles."""
+    as does H, so the part count m is preserved while n doubles.  The new
+    factor is the last, so vertex index i with tag t becomes 2i + t."""
     if len(starter.model.group.cyclic_orders) != 1:
         raise ValueError("doubling needs a cyclic group given as a single factor")
     report = verify_starter(starter)
@@ -106,8 +107,8 @@ def double_starter(starter: Starter) -> Starter:
     mixed_sets = []
     for sset in starter.sets:
         companion = lift(sset.subgroup)
-        plain = [model.edge(e.u + (0,), e.v + (0,)) for e in sset.edges]
-        mixed = [model.edge(e.u + (0,), e.v + (1,)) for e in sset.edges]
+        plain = [model.edge(2 * e.u, 2 * e.v) for e in sset.edges]
+        mixed = [model.edge(2 * e.u, 2 * e.v + 1) for e in sset.edges]
         plain_sets.append(StarterSet(tuple(sorted(plain)), companion))
         mixed_sets.append(StarterSet(tuple(sorted(mixed)), companion))
     return Starter(
@@ -134,7 +135,7 @@ def _assemble_family(
     p, t, tp = params.p, params.t, params.t_prime
 
     def ed(a, b):
-        return model.edge_unchecked(a, b)
+        return model.edge_unchecked(group.index_of(a), group.index_of(b))
 
     h_line = group.subgroup([(1, 0, 0)])
     sets: list[StarterSet] = []
@@ -172,19 +173,20 @@ def _assemble_family(
     return sets
 
 
-def _partial_report(model: CayleyModel, sets, A: Subgroup) -> tuple[list[Element], list[str]]:
+def _partial_report(model: CayleyModel, sets, A: Subgroup) -> tuple[list[int], list[str]]:
     """Uncovered differences of a partial starter, sorted, and every problem
     that keeps it from completing through A: an illegal edge, a repeated
     difference, a broken condition 2 or 3, or an uncovered difference in A."""
+    el = model.group.elements()
     counts, illegal = difference_counts(model, sets)
-    problems = [f"set {i}: illegal edge {e.u}~{e.v}" for i, e in illegal]
-    dups = sorted(d for d, c in counts.items() if c > 1)
+    problems = [f"set {i}: illegal edge {el[e.u]}~{el[e.v]}" for i, e in illegal]
+    dups = sorted(el[d] for d, c in counts.items() if c > 1)
     if dups:
         problems.append(f"repeats differences: {dups[:6]}")
     problems += check_coset_transversals(model, sets).violations
     problems += check_short_edge_membership(model, sets).violations
     uncovered = sorted(d for d in model.omega if d not in counts)
-    inside = [d for d in uncovered if d in A.elements]
+    inside = [el[d] for d in uncovered if A.coset_of[d] == 0]
     if inside:
         problems.append(f"uncovered differences inside the index-2 subgroup: {inside[:6]}")
     return uncovered, problems
@@ -268,18 +270,13 @@ def complete_via_index2(model: CayleyModel, partial: Starter, A: Subgroup) -> St
     if not uncovered:
         return partial
 
-    ident = group.identity()
     full = group.full_subgroup()
     new_sets = list(partial.sets)
-    handled: set[Element] = set()
-    for w in uncovered:
-        if w in handled:
-            continue
-        handled.add(w)
-        handled.add(group.neg(w))
-        edge = model.edge(ident, w)
-        companion = full if w in group.involutions else A
-        new_sets.append(StarterSet((edge,), companion))
+    for w in uncovered:  # closed under negation; take the lesser of w, -w
+        if w <= group.negs[w]:
+            edge = model.edge(0, w)  # vertex index 0 is the identity
+            companion = full if w in group.involutions else A
+            new_sets.append(StarterSet((edge,), companion))
     provenance = dict(partial.provenance or {})
     provenance["completed_pairs"] = (len(uncovered) + 1) // 2
     return Starter(model, tuple(new_sets), provenance)

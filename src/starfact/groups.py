@@ -1,14 +1,15 @@
 """Exact arithmetic over finite abelian groups given as products of cyclic factors.
 
-Elements are coordinate tuples reduced modulo the per-factor orders.  Every
-set-valued result comes back in lexicographic order so that downstream output
-is reproducible byte for byte.
+Elements are coordinate tuples reduced modulo the per-factor orders, and
+each is named by its vertex index, its mixed-radix (lexicographic) rank; the
+package works on indices, with coordinates only in generators, subgroup
+elements, starter JSON and messages.  Every set-valued result comes back in
+lexicographic order so that downstream output is reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
@@ -40,6 +41,7 @@ class AbelianGroup:
         if any(n < 2 for n in orders):
             raise ValueError(f"cyclic factor orders must be >= 2, got {orders}")
         object.__setattr__(self, "cyclic_orders", orders)
+        object.__setattr__(self, "_rows", [None] * prod(orders))  # see translation
 
     @property
     def order(self) -> int:
@@ -53,13 +55,15 @@ class AbelianGroup:
         return (0,) * len(self.cyclic_orders)
 
     def element(self, coords) -> Element:
-        """Reduce a coordinate sequence into the group."""
+        """Reduce a sequence of integer coordinates into the group."""
         coords = tuple(coords)
         if len(coords) != len(self.cyclic_orders):
             raise ValueError(
                 f"expected {len(self.cyclic_orders)} coordinates, got {coords!r}"
             )
-        return tuple(int(c) % n for c, n in zip(coords, self.cyclic_orders))
+        if any(type(c) is not int for c in coords):  # exactly int: no bool, float or str
+            raise ValueError(f"coordinates must be integers, got {coords!r}")
+        return tuple(c % n for c, n in zip(coords, self.cyclic_orders))
 
     @cached_property
     def _elements(self) -> tuple[Element, ...]:
@@ -90,13 +94,10 @@ class AbelianGroup:
         return out
 
     @cached_property
-    def involutions(self) -> frozenset[Element]:
-        """Elements of order exactly 2.  There are 2^s - 1 of them, where s
-        counts the even cyclic factors."""
-        per_coord = [(0,) if n % 2 else (0, n // 2) for n in self.cyclic_orders]
-        all_two_torsion = itertools.product(*per_coord)
-        ident = self.identity()
-        return frozenset(a for a in all_two_torsion if a != ident)
+    def involutions(self) -> frozenset[int]:
+        """Vertex indices of the elements of order exactly 2.  There are
+        2^s - 1 of them, where s counts the even cyclic factors."""
+        return frozenset(x for x, y in enumerate(self.negs) if x == y and x)
 
     def vertex_index(self, a: Element) -> int:
         """Mixed-radix index with the first factor most significant."""
@@ -105,14 +106,37 @@ class AbelianGroup:
             idx = idx * n + x
         return idx
 
-    def vertex_at(self, idx: int) -> Element:
-        coords = []
-        for n in reversed(self.cyclic_orders):
-            coords.append(idx % n)
-            idx //= n
-        if idx:
-            raise ValueError("vertex index out of range")
-        return tuple(reversed(coords))
+    def index_of(self, coords) -> int:
+        """Vertex index of a sequence of integer coordinates, reduced as by
+        element; input in coordinates converts here."""
+        return self.vertex_index(self.element(coords))
+
+    def _per_coordinate(self, columns) -> list[int]:
+        """Vertex indices of the elements whose coordinate i is taken from
+        columns[i], in lexicographic order of the choices."""
+        out = [0]
+        for n, col in zip(self.cyclic_orders, columns):
+            out = [a * n + c for a in out for c in col]
+        return out
+
+    def translation(self, g: int) -> list[int]:
+        """Row of x + g for every vertex index x, with g a vertex index.
+        Each row is built on first use and kept on the group."""
+        row = self._rows[g]
+        if row is None:
+            shifted = zip(self._elements[g], self.cyclic_orders)
+            row = self._per_coordinate([[(x + c) % n for x in range(n)] for c, n in shifted])
+            self._rows[g] = row
+        return row
+
+    @cached_property
+    def negs(self) -> list[int]:
+        """Vertex index of -x for every vertex index x."""
+        return self._per_coordinate([[-x % n for x in range(n)] for n in self.cyclic_orders])
+
+    def difference(self, u: int, v: int) -> int:
+        """Vertex index of u - v."""
+        return self.vertex_index(self.sub(self._elements[u], self._elements[v]))
 
     def subgroup(self, generators) -> Subgroup:
         return subgroup_from_generators(self, generators)
@@ -125,35 +149,23 @@ class AbelianGroup:
             gens.append(tuple(g))
         return Subgroup(self, tuple(gens), frozenset(self._elements))
 
-    def cosets(self, sub: Subgroup) -> list[Element]:
-        """Lexicographically least representative of each coset of sub,
-        in lexicographic order."""
-        reps: list[Element] = []
-        for a, c in zip(self._elements, sub.coset_of):
-            if c == len(reps):
-                reps.append(a)
-        return reps
-
     @cached_property
     def subgroups(self) -> tuple[Subgroup, ...]:
         """Every subgroup, found by repeatedly adjoining single elements,
-        sorted by (order, sorted element list) so the listing is stable."""
-        ident = frozenset({self.identity()})
-        found: dict[frozenset[Element], tuple[Element, ...]] = {ident: ()}
-        queue = deque([ident])
-        while queue:
-            elems = queue.popleft()
-            gens = found[elems]
-            for g in self._elements:
-                if g in elems:
-                    continue
-                bigger = _extend_by_cyclic(self, elems, g)
+        sorted by (order, sorted element list) so the listing is stable.
+        <P, g> depends only on g + P, so P is extended by each other coset's
+        least element, the one a scan of every element would reach first."""
+        trivial = Subgroup(self, (), frozenset({self.identity()}))
+        found = {trivial.elements: trivial}
+        queue = [trivial]
+        for sub in queue:  # breadth first: the loop reaches what it appends
+            for r in sub.coset_reps[1:]:
+                g = self._elements[r]
+                bigger = _adjoin(self, sub.elements, g)
                 if bigger not in found:
-                    found[bigger] = gens + (g,)
-                    queue.append(bigger)
-        subs = [Subgroup(self, gens, elems) for elems, gens in found.items()]
-        subs.sort(key=lambda s: (s.order, s.sorted_elements))
-        return tuple(subs)
+                    found[bigger] = Subgroup(self, sub.generators + (g,), bigger)
+                    queue.append(found[bigger])
+        return tuple(sorted(found.values(), key=lambda s: (s.order, s.sorted_elements)))
 
     def isomorphism_key(self) -> tuple[tuple[int, int], ...]:
         """Multiset of prime-power invariants; equal keys mean isomorphic groups."""
@@ -199,6 +211,11 @@ class Subgroup:
                 count += 1
         return tuple(out)
 
+    @cached_property
+    def coset_reps(self) -> tuple[int, ...]:
+        """Vertex index of the least element of each coset, by coset number."""
+        return tuple(map(self.coset_of.index, range(self.index)))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subgroup):
             return NotImplemented
@@ -219,15 +236,15 @@ def make_group(cyclic_orders) -> AbelianGroup:
     return AbelianGroup(tuple(int(n) for n in cyclic_orders))
 
 
-def _extend_by_cyclic(group: AbelianGroup, elems: frozenset[Element], g: Element) -> frozenset[Element]:
-    # elems is a subgroup; its product with <g> is again a subgroup since the
-    # group is abelian.
-    cyc = []
-    x = group.identity()
-    for _ in range(group.element_order(g)):
-        cyc.append(x)
+def _adjoin(group: AbelianGroup, elems: frozenset[Element], g: Element) -> frozenset[Element]:
+    """<elems, g> for a subgroup elems: the cosets elems + kg for k = 0, 1, ...
+    until kg falls back into elems."""
+    out = set(elems)
+    x = g
+    while x not in elems:
+        out.update(group.add(a, x) for a in elems)
         x = group.add(x, g)
-    return frozenset(group.add(a, c) for a in elems for c in cyc)
+    return frozenset(out)
 
 
 def subgroup_from_generators(group: AbelianGroup, generators) -> Subgroup:
@@ -235,8 +252,7 @@ def subgroup_from_generators(group: AbelianGroup, generators) -> Subgroup:
     gens = tuple(group.element(g) for g in generators)
     elems = frozenset({group.identity()})
     for g in gens:
-        if g not in elems:
-            elems = _extend_by_cyclic(group, elems, g)
+        elems = _adjoin(group, elems, g)
     return Subgroup(group, gens, elems)
 
 

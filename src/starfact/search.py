@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 
 from .cayley import CayleyModel, build_model
-from .groups import Subgroup, enumerate_abelian_groups, make_group, subgroups_of_order
+from .groups import Subgroup, enumerate_abelian_groups, subgroups_of_order
 from .serialize import starter_payload
 from .starters import OneFactorization, Starter, StarterSet, verify_starter
 
@@ -76,33 +76,26 @@ class SearchOutcome:
 
 
 class _Ctx:
-    """Search tables for one (group, H) model.
-
-    Elements are their vertex indices, which are their lexicographic ranks.
-    Companions come from the group's cached lattice and their coset numbers
-    from each subgroup's cached coset index, so the inner loop never touches
-    tuples.
-    """
+    """Search tables for one (group, H) model, on vertex indices.  The group
+    supplies negation, involutions, translation rows, the lattice of
+    companions and their cached coset indices."""
 
     def __init__(self, model: CayleyModel):
         self.model = model
         group = model.group
-        self.n = group.order
-        elems = group.elements()
-        self.elems = elems
-        index = group.vertex_index
-        self.add = [[index(group.add(a, b)) for b in elems] for a in elems]
-        self.neg = [index(group.neg(a)) for a in elems]
-        self.omega_ids = sorted(index(d) for d in model.omega)
+        self.neg = group.negs
+        self.invol = group.involutions
+        self.omega_ids = sorted(model.omega)
         self.omega_mask = sum(1 << i for i in self.omega_ids)
-        self.invol = [a in group.involutions for a in elems]
+        # A plain list, since _placements reads one row per call.
+        self.rows = [group.translation(w) if c else None for w, c in enumerate(model.H.coset_of)]
 
         self.companions = sorted(group.subgroups, key=lambda s: (-s.order, s.sorted_elements))
         self.comp_index = [s.index for s in self.companions]
         # A subgroup is the coset of the identity, which is coset 0.
         self.comp_member = [[c == 0 for c in s.coset_of] for s in self.companions]
         self.comp_invol_omega = [
-            sum(1 << i for i in self.omega_ids if self.invol[i] and member[i])
+            sum(1 << i for i in self.omega_ids if i in self.invol and member[i])
             for member in self.comp_member
         ]
 
@@ -114,10 +107,9 @@ def _placements(ctx: _Ctx, comp: int, w: int):
     cosets of the companion that the endpoints lie in: one coset for a short
     edge (w lies in the companion), two for a long one."""
     coset = ctx.companions[comp].coset_of
-    row = ctx.add[w]
-    inv = ctx.invol[w]
-    for x in range(ctx.n):
-        y = row[x]
+    row = ctx.rows[w]
+    inv = w in ctx.invol
+    for x, y in enumerate(row):
         if x < y:
             yield 1 << coset[x] | 1 << coset[y], (x, y)
         elif not inv:
@@ -135,7 +127,7 @@ def _moves(ctx: _Ctx, sets: list, covered: int, w: int, comps, anchor: bool):
     whose index fits the uncovered differences.  With anchor, a fresh set
     takes only its first placement, the edge at the identity.
     """
-    inv = ctx.invol[w]
+    inv = w in ctx.invol
     need = 1 if inv else 2
     cover = covered | 1 << w | 1 << ctx.neg[w]
     for s in sets:
@@ -167,9 +159,7 @@ def _witness_starter(ctx: _Ctx, witness_sets) -> Starter:
     model = ctx.model
     out = []
     for comp, edges in witness_sets:
-        built = tuple(
-            sorted(model.edge(ctx.elems[u], ctx.elems[v]) for u, v in edges)
-        )
+        built = tuple(sorted(model.edge(u, v) for u, v in edges))
         out.append(StarterSet(built, ctx.companions[comp]))
     starter = Starter(model, tuple(out), provenance={"construction": "search"})
     report = verify_starter(starter)
@@ -225,12 +215,19 @@ def _run_branch(ctx: _Ctx, comp: int, cap: int | None, mode: str):
     return nodes, hits, False
 
 
+_worker_ctx: _Ctx | None = None
+
+
+def _init_worker(ctx: _Ctx) -> None:
+    """Pool initializer: keep the parent's search tables in the worker."""
+    global _worker_ctx
+    _worker_ctx = ctx
+
+
 def _branch_task(args):
     """_run_branch in a worker process; hits come back as raw index data."""
-    orders, h_gens, comp, cap, mode = args
-    group = make_group(orders)
-    ctx = _Ctx(build_model(group, group.subgroup(h_gens)))
-    return _run_branch(ctx, comp, cap, mode)
+    comp, cap, mode = args
+    return _run_branch(_worker_ctx, comp, cap, mode)
 
 
 def search_starter(
@@ -269,18 +266,17 @@ def search_starter(
 
     parallel = workers > 1 and len(branches) > 1
     # Leaving the block terminates the workers, so a decided replay stops
-    # the branches still running.
-    with Pool(min(workers, len(branches))) if parallel else nullcontext() as pool:
+    # the branches still running.  Workers get ctx once, from the
+    # initializer; under fork it is inherited, not pickled.
+    pool = Pool(min(workers, len(branches)), _init_worker, (ctx,)) if parallel else None
+    with pool or nullcontext():
         if pool is None:
             # Lazy, so the replay stops running branches once the outcome is
             # decided; each branch is capped by the allowance left when it
             # starts.
             results = (_run_branch(ctx, comp, remaining, mode) for comp in branches)
         else:
-            orders = list(model.group.cyclic_orders)
-            h_gens = [list(g) for g in model.H.generators]
-            tasks = [(orders, h_gens, comp, cap, mode) for comp in branches]
-            results = pool.imap(_branch_task, tasks)
+            results = pool.imap(_branch_task, [(comp, cap, mode) for comp in branches])
         for nodes, hits, aborted in results:
             usable = [h for h in hits if remaining is None or h[0] <= remaining]
             if mode != "all" and usable:
@@ -403,15 +399,14 @@ def brute_force_factorizations(
     ne = len(edges)
     nv = group.order
     eid = {e: i for i, e in enumerate(edges)}
-    vbit = [
-        (1 << group.vertex_index(e.u)) | (1 << group.vertex_index(e.v)) for e in edges
-    ]
+    vbit = [(1 << e.u) | (1 << e.v) for e in edges]
     by_vertex: list[list[int]] = [[] for _ in range(nv)]
     for i, e in enumerate(edges):
-        by_vertex[group.vertex_index(e.u)].append(i)
-        by_vertex[group.vertex_index(e.v)].append(i)
+        by_vertex[e.u].append(i)
+        by_vertex[e.v].append(i)
     trans = [
-        [eid[model.translate_edge(e, g)] for e in edges] for g in group.elements()
+        [eid[model.translate_edge(e, group.translation(g))] for e in edges]
+        for g in range(nv)
     ]
     full_v = (1 << nv) - 1
 

@@ -1,7 +1,8 @@
 """JSON wire formats for groups, starters, and factorizations.
 
 All emitters go through canonical_json so repeated single-worker runs
-produce byte-identical artifacts.
+produce byte-identical artifacts.  Starter edges are written in coordinates
+and factorization edges as vertex indices; the starter format converts here.
 """
 
 from __future__ import annotations
@@ -42,13 +43,14 @@ def _gens_payload(sub: Subgroup) -> list[list[int]]:
 
 
 def starter_payload(starter: Starter) -> dict:
+    el = starter.model.group.elements()
     payload = {
         "group": group_payload(starter.model.group),
         "H_generators": _gens_payload(starter.model.H),
         "sets": [
             {
                 "subgroup_generators": _gens_payload(sset.subgroup),
-                "edges": [[list(e.u), list(e.v)] for e in sset.edges],
+                "edges": [[list(el[e.u]), list(el[e.v])] for e in sset.edges],
             }
             for sset in starter.sets
         ],
@@ -64,28 +66,21 @@ def starter_from_payload(payload: dict) -> Starter:
     group = group_from_payload(payload["group"])
     H = subgroup_from_generators(group, payload["H_generators"])
     model = build_model(group, H)
+    index = group.index_of
     sets = []
     for raw in payload["sets"]:
         sub = subgroup_from_generators(group, raw["subgroup_generators"])
-        edges = tuple(
-            sorted(model.edge_unchecked(u, v) for u, v in raw["edges"])
-        )
-        sets.append(StarterSet(edges, sub))
+        edges = (model.edge_unchecked(index(u), index(v)) for u, v in raw["edges"])
+        sets.append(StarterSet(tuple(sorted(edges)), sub))
     provenance = {k: v for k, v in payload.items() if k not in _STARTER_CORE_KEYS}
     return Starter(model, tuple(sets), provenance or None)
 
 
 def factorization_payload(fact: OneFactorization) -> dict:
-    gi = fact.model.group.vertex_index
-    factors = []
-    for factor in fact.factors:
-        pairs = sorted(sorted((gi(e.u), gi(e.v))) for e in factor)
-        factors.append([list(p) for p in pairs])
-    factors.sort()
     return {
         "group": group_payload(fact.model.group),
         "H_generators": _gens_payload(fact.model.H),
-        "factors": factors,
+        "factors": [[[e.u, e.v] for e in factor] for factor in fact.factors],
     }
 
 
@@ -95,11 +90,5 @@ def factorization_from_payload(payload: dict) -> OneFactorization:
     model = build_model(group, H)
     factors = []
     for raw in payload["factors"]:
-        factor = tuple(
-            sorted(
-                model.edge_unchecked(group.vertex_at(i), group.vertex_at(j))
-                for i, j in raw
-            )
-        )
-        factors.append(factor)
+        factors.append(tuple(sorted(model.edge_unchecked(i, j) for i, j in raw)))
     return OneFactorization(model, tuple(sorted(factors)))

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .cayley import SHORT, CayleyModel, Edge
-from .groups import Element, Subgroup
+from .groups import Subgroup
 
 __all__ = [
     "StarterSet",
@@ -104,10 +104,10 @@ class InvalidStarterError(ValueError):
 
 def difference_counts(
     model: CayleyModel, sets
-) -> tuple[Counter[Element], list[tuple[int, Edge]]]:
+) -> tuple[Counter[int], list[tuple[int, Edge]]]:
     """How often the legal edges of the sets cover each difference, and the
     (set number, edge) of every illegal edge, which covers nothing."""
-    counts: Counter[Element] = Counter()
+    counts: Counter[int] = Counter()
     illegal: list[tuple[int, Edge]] = []
     for i, sset in enumerate(sets):
         for e in sset.edges:
@@ -121,31 +121,32 @@ def difference_counts(
 def check_difference_cover(model: CayleyModel, sets) -> ConditionVerdict:
     verdict = ConditionVerdict("condition 1 (differences cover Omega exactly once)")
     counts, illegal = difference_counts(model, sets)
+    el = model.group.elements()
     for i, e in illegal:
-        d = model.group.sub(e.u, e.v)
-        verdict.fail(f"set {i}: edge {e.u}~{e.v} is illegal (difference {d} in H)")
+        d = el[model.group.difference(e.u, e.v)]
+        verdict.fail(f"set {i}: edge {el[e.u]}~{el[e.v]} is illegal (difference {d} in H)")
     for d in sorted(counts):
         if counts[d] > 1:
-            verdict.fail(f"difference {d} covered {counts[d]} times")
+            verdict.fail(f"difference {el[d]} covered {counts[d]} times")
     for d in sorted(model.omega):
         if d not in counts:
-            verdict.fail(f"difference {d} not covered")
+            verdict.fail(f"difference {el[d]} not covered")
     return verdict
 
 
 def check_coset_transversals(model: CayleyModel, sets) -> ConditionVerdict:
     verdict = ConditionVerdict("condition 2 (marked endpoints form coset transversals)")
-    group = model.group
+    el = model.group.elements()
     for i, sset in enumerate(sets):
         sub = sset.subgroup
         hits = [0] * sub.index
         for e in sset.edges:
             for v in model.edge_vertices(e):
-                hits[sub.coset_of[group.vertex_index(v)]] += 1
-        for r, count in zip(group.cosets(sub), hits):
+                hits[sub.coset_of[v]] += 1
+        for r, count in zip(sub.coset_reps, hits):
             if count != 1:
                 verdict.fail(
-                    f"set {i}: coset of {r} has {count} marked endpoints"
+                    f"set {i}: coset of {el[r]} has {count} marked endpoints"
                     f" (companion order {sub.order})"
                 )
     return verdict
@@ -153,13 +154,14 @@ def check_coset_transversals(model: CayleyModel, sets) -> ConditionVerdict:
 
 def check_short_edge_membership(model: CayleyModel, sets) -> ConditionVerdict:
     verdict = ConditionVerdict("condition 3 (short-edge differences lie in the companion)")
+    el = model.group.elements()
     for i, sset in enumerate(sets):
         for e in sset.edges:
             if e.kind == SHORT:
-                d = model.group.sub(e.u, e.v)
-                if d not in sset.subgroup.elements:
+                d = model.group.difference(e.u, e.v)
+                if sset.subgroup.coset_of[d] != 0:
                     verdict.fail(
-                        f"set {i}: short edge {e.u}~{e.v} has difference {d}"
+                        f"set {i}: short edge {el[e.u]}~{el[e.v]} has difference {el[d]}"
                         " outside its companion subgroup"
                     )
     return verdict
@@ -180,18 +182,16 @@ def develop_factorization(starter: Starter) -> OneFactorization:
     if not report.passed:
         raise InvalidStarterError(report)
     model = starter.model
-    group = model.group
+    rows = model.group.translation
     seen: dict[tuple[Edge, ...], None] = {}
     for sset in starter.sets:
-        base: set[Edge] = set()
-        for h in sset.subgroup.sorted_elements:
-            for e in sset.edges:
-                base.add(model.translate_edge(e, h))
-        base_edges = tuple(base)
+        members = [h for h, c in enumerate(sset.subgroup.coset_of) if c == 0]
+        base = {model.translate_edge(e, rows(h)) for h in members for e in sset.edges}
         # Translating by one representative per coset of the companion
         # already reaches every distinct translate of the base factor.
-        for r in group.cosets(sset.subgroup):
-            factor = tuple(sorted(model.translate_edge(e, r) for e in base_edges))
+        for r in sset.subgroup.coset_reps:
+            row = rows(r)
+            factor = tuple(sorted(model.translate_edge(e, row) for e in base))
             seen.setdefault(factor, None)
     return OneFactorization(model, tuple(sorted(seen)))
 
@@ -203,22 +203,24 @@ def verify_factorization(model: CayleyModel, fact: OneFactorization) -> Verifica
     c2 = ConditionVerdict("factors partition the edge set")
     c3 = ConditionVerdict("factor count equals mn - n")
     group = model.group
-    edge_counts: Counter[tuple[Element, Element]] = Counter()
+    el = group.elements()
+    coset = model.H.coset_of
+    edge_counts: Counter[tuple[int, int]] = Counter()
     for fi, factor in enumerate(fact.factors):
-        covered: Counter[Element] = Counter()
+        covered: Counter[int] = Counter()
         for e in factor:
-            d = group.sub(e.u, e.v)
-            if d not in model.omega:
-                c1.fail(f"factor {fi}: illegal edge {e.u}~{e.v} (difference {d} in H)")
+            if coset[e.u] == coset[e.v]:
+                d = el[group.difference(e.u, e.v)]
+                c1.fail(f"factor {fi}: illegal edge {el[e.u]}~{el[e.v]} (difference {d} in H)")
             covered[e.u] += 1
             covered[e.v] += 1
             edge_counts[(e.u, e.v)] += 1
-        bad = sorted(v for v in group.elements() if covered[v] != 1)
+        bad = [el[v] for v in range(group.order) if covered[v] != 1]
         if bad:
             c1.fail(f"factor {fi}: vertices covered != once: {bad[:4]}{'...' if len(bad) > 4 else ''}")
     dups = {e: c for e, c in edge_counts.items() if c > 1}
     if dups:
-        some = sorted(dups)[:4]
+        some = [(el[u], el[v]) for u, v in sorted(dups)[:4]]
         c2.fail(f"{len(dups)} edges appear in more than one factor, e.g. {some}")
     if c1.ok and not dups and len(edge_counts) != model.edge_count:
         c2.fail(
@@ -234,14 +236,16 @@ def check_invariance(model: CayleyModel, fact: OneFactorization, exhaustive: boo
     """True when translating any factor by any group element lands on a
     factor.  Checking the standard generators suffices because translations
     compose; exhaustive=True checks every group element anyway."""
+    group = model.group
     keys = {factor: None for factor in fact.factors}
     if exhaustive:
-        shifts = [g for g in model.group.elements() if g != model.group.identity()]
+        shifts = range(1, group.order)  # every element but the identity, 0
     else:
-        shifts = list(model.group.full_subgroup().generators)
+        shifts = [group.vertex_index(g) for g in group.full_subgroup().generators]
+    rows = [group.translation(g) for g in shifts]
     for factor in fact.factors:
-        for g in shifts:
-            moved = tuple(sorted(model.translate_edge(e, g) for e in factor))
+        for row in rows:
+            moved = tuple(sorted(model.translate_edge(e, row) for e in factor))
             if moved not in keys:
                 return False
     return True

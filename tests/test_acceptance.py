@@ -197,7 +197,7 @@ def test_criterion_7_algebra_property_suite():
         assert g.add(a, b) == g.add(b, a)
         assert g.add(a, g.neg(a)) == g.identity()
         assert g.order % g.element_order(a) == 0
-        assert g.vertex_at(g.vertex_index(a)) == a
+        assert elems[g.vertex_index(a)] == a
     for order in range(2, 129):
         expected = prod(_partition_count(e) for _, e in factorize(order))
         assert len(enumerate_abelian_groups(order)) == expected

@@ -32,36 +32,39 @@ def test_shape_k5x2():
     assert m.vertex_count == 10
     assert len(m.omega) == 8
     assert m.edge_count == 40
-    parts = m.parts()
-    assert len(parts) == 5
-    assert all(len(p) == 2 for p in parts)
-    assert set().union(*parts) == set(m.group.elements())
-    assert parts[0] == m.H.elements
+    # the parts are the cosets of H, and Omega is everything outside H
+    coset = m.H.coset_of
+    assert [coset.count(c) for c in range(5)] == [2] * 5
+    assert {i for i, c in enumerate(coset) if c == 0} == {0, 5}
+    assert m.omega == frozenset(range(10)) - {0, 5}
 
 
 def test_edge_canonicalization_and_kinds():
     m = _model([10], [(5,)])
-    e = m.edge((3,), (1,))
-    assert (e.u, e.v, e.kind) == ((1,), (3,), LONG)
-    assert m.edge_difference(e) == frozenset({(2,), (8,)})
-    assert m.edge_vertices(e) == frozenset({(1,), (3,)})
+    e = m.edge(3, 1)
+    assert (e.u, e.v, e.kind) == (1, 3, LONG)
+    assert m.edge_difference(e) == frozenset({2, 8})
+    assert m.edge_vertices(e) == frozenset({1, 3})
 
     m22 = _model([2, 2], [(1, 0)])
-    s = m22.edge((0, 1), (0, 0))
+    s = m22.edge(1, 0)  # (0, 1) ~ (0, 0)
     assert s.kind == SHORT
-    assert m22.edge_difference(s) == frozenset({(0, 1)})
-    assert m22.edge_vertices(s) == frozenset({(0, 0)})
+    assert m22.edge_difference(s) == frozenset({1})
+    assert m22.edge_vertices(s) == frozenset({0})
 
 
 def test_illegal_and_degenerate_edges():
     m = _model([10], [(5,)])
-    with pytest.raises(ValueError):
-        m.edge((0,), (5,))  # difference in H
-    with pytest.raises(ValueError):
-        m.edge((2,), (2,))
+    with pytest.raises(ValueError, match=r"illegal edge \(0,\) ~ \(5,\)"):
+        m.edge(0, 5)  # difference in H
+    with pytest.raises(ValueError, match=r"degenerate edge at \(2,\)"):
+        m.edge(2, 2)
+    for bad in (-1, 10):
+        with pytest.raises(ValueError, match="vertex index out of range"):
+            m.edge_unchecked(0, bad)
     # unchecked constructor lets the illegal difference through, but the
     # difference accessor still refuses it
-    e = m.edge_unchecked((0,), (5,))
+    e = m.edge_unchecked(0, 5)
     with pytest.raises(ValueError):
         m.edge_difference(e)
 
@@ -71,8 +74,7 @@ def test_translate_preserves_difference():
     m = _model([4, 3], [(2, 0)])
     for _ in range(100):
         e = rng.choice(m.all_edges)
-        g = rng.choice(m.group.elements())
-        t = m.translate_edge(e, g)
+        t = m.translate_edge(e, m.group.translation(rng.randrange(m.group.order)))
         assert t.u < t.v
         assert m.edge_difference(t) == m.edge_difference(e)
         assert t.kind == e.kind
@@ -87,10 +89,11 @@ def test_short_orbits_are_perfect_matchings():
         shorts = [e for e in m.all_edges if e.kind == SHORT]
         if not shorts:
             continue
-        orbit = {m.translate_edge(shorts[0], g) for g in m.group.elements()}
+        rows = [m.group.translation(g) for g in range(m.group.order)]
+        orbit = {m.translate_edge(shorts[0], row) for row in rows}
         assert len(orbit) == m.group.order // 2
         covered = [v for e in orbit for v in (e.u, e.v)]
-        assert sorted(covered) == sorted(m.group.elements())
+        assert sorted(covered) == list(range(m.group.order))
 
 
 def test_all_edges_complete_and_sorted():
@@ -103,10 +106,9 @@ def test_all_edges_complete_and_sorted():
         for e in edges:
             assert e.u < e.v
             m.edge_difference(e)  # legality
-        # no edge inside a part
-        for part in m.parts():
-            for e in edges:
-                assert not (e.u in part and e.v in part)
+            assert m.H.coset_of[e.u] != m.H.coset_of[e.v]  # no edge inside a part
+            d = m.group.difference(e.u, e.v)
+            assert (e.kind == SHORT) == (d in m.group.involutions)
 
 
 def test_edge_count_formula_across_lattice():
@@ -128,7 +130,7 @@ def test_export_edge_list_golden():
 
 def test_edge_index_pairs_ascending():
     m = _model([5, 2], [(0, 1)])
-    pairs = m.edge_index_pairs()
+    pairs = [(e.u, e.v) for e in m.all_edges]
     assert pairs == sorted(pairs)
     assert len(pairs) == m.edge_count
     assert all(0 <= i < j < 10 for i, j in pairs)

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import subprocess
 import sys
 
+import pytest
+
 from starfact.cayley import build_model
+from starfact.constructions import ConstructionError, complete_via_index2
 from starfact.groups import make_group
-from starfact.serialize import canonical_json, starter_payload
+from starfact.serialize import canonical_json, starter_from_payload, starter_payload
 from starfact.starters import Starter, StarterSet
 
 OK, FAIL, NONE, BUDGET, USAGE = 0, 1, 2, 3, 64
@@ -26,7 +30,7 @@ def run_cli(*args, stdin=None):
 def golden_starter_json() -> str:
     g = make_group([4])
     m = build_model(g, g.subgroup([(2,)]))
-    st = Starter(m, (StarterSet((m.edge((0,), (1,)),), g.subgroup([(2,)])),))
+    st = Starter(m, (StarterSet((m.edge(0, 1),), g.subgroup([(2,)])),))
     return canonical_json(starter_payload(st))
 
 
@@ -196,6 +200,150 @@ def test_doubling_invalid_starter_exits_1():
                 stdin=json.dumps(broken))
     assert r.returncode == FAIL
     assert "condition 2" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "kind, path, value",
+    [
+        ("starter", ("sets", 0, "edges", 0, 1, 0), 1.5),
+        ("starter", ("sets", 0, "edges", 0, 1, 0), "1"),
+        ("starter", ("sets", 0, "edges", 0, 1, 0), True),
+        ("starter", ("H_generators", 0, 0), 2.5),
+        ("starter", ("sets", 0, "subgroup_generators", 0, 0), True),
+        ("factorization", ("factors", 0, 0, 1), 1.5),
+        ("factorization", ("factors", 0, 0, 1), True),
+        ("factorization", ("factors", 0, 0, 1), "1"),
+    ],
+)
+def test_non_integer_json_numbers_exit_64(kind, path, value):
+    # JSON coordinates, generators and vertex indices must be integers; a
+    # float, string or bool is rejected, never truncated or coerced.
+    payload = json.loads(golden_starter_json())
+    command = "verify-starter"
+    if kind == "factorization":
+        payload = json.loads(run_cli("develop", "-", stdin=golden_starter_json()).stdout)
+        command = "verify-factorization"
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    r = run_cli(command, "-", stdin=json.dumps(payload))
+    assert r.returncode == USAGE
+    assert r.stderr.startswith("bad input: ") and r.stderr.count("\n") == 1
+    assert "integer" in r.stderr
+
+
+# A K_{6 x 2} starter over the non-cyclic Z2 x Z6 with H = <(1, 0)>, found by
+# search, and a copy with an illegal edge in set 0, set 2 repeated, and set
+# 4's short edge moved outside its companion.
+_Z2Z6 = {
+    "group": {"cyclic_orders": [2, 6]},
+    "H_generators": [[1, 0]],
+    "sets": [
+        {"subgroup_generators": [[1, 2]], "edges": [[[0, 0], [0, 1]]]},
+        {"subgroup_generators": [[0, 3], [1, 0]], "edges": [[[0, 0], [0, 2]], [[0, 1], [0, 4]]]},
+        {"subgroup_generators": [[0, 1]], "edges": [[[0, 0], [1, 1]]]},
+        {"subgroup_generators": [[0, 1]], "edges": [[[0, 0], [1, 2]]]},
+        {"subgroup_generators": [[0, 1], [1, 0]], "edges": [[[0, 0], [1, 3]]]},
+    ],
+}
+
+
+def _z2z6_tampered():
+    t = copy.deepcopy(_Z2Z6)
+    t["sets"][0]["edges"] = [[[0, 0], [1, 0]]]
+    t["sets"].append(copy.deepcopy(t["sets"][2]))
+    t["sets"][4]["subgroup_generators"] = [[0, 1]]
+    return t
+
+
+def _report(*conditions, **extra):
+    passed = all(ok for _, ok, _ in conditions)
+    return canonical_json(
+        {
+            "passed": passed,
+            "conditions": [
+                {"label": label, "ok": ok, "violations": list(v)}
+                for label, ok, v in conditions
+            ],
+            **extra,
+        }
+    )
+
+
+def test_messages_print_coordinates_on_a_noncyclic_group():
+    # Every message template that names an element prints its coordinates.
+    # The expected text was recorded before the verifiers moved to vertex
+    # indices.
+    r = run_cli("verify-starter", "-", stdin=json.dumps(_z2z6_tampered()))
+    assert r.returncode == FAIL
+    assert r.stdout == _report(
+        ("condition 1 (differences cover Omega exactly once)", False, [
+            "set 0: edge (0, 0)~(1, 0) is illegal (difference (1, 0) in H)",
+            "difference (1, 1) covered 2 times",
+            "difference (1, 5) covered 2 times",
+            "difference (0, 1) not covered",
+            "difference (0, 5) not covered",
+        ]),
+        ("condition 2 (marked endpoints form coset transversals)", False, [
+            "set 0: coset of (0, 1) has 0 marked endpoints (companion order 6)",
+            "set 4: coset of (1, 0) has 0 marked endpoints (companion order 6)",
+        ]),
+        ("condition 3 (short-edge differences lie in the companion)", False, [
+            "set 4: short edge (0, 0)~(1, 3) has difference (1, 3)"
+            " outside its companion subgroup",
+        ]),
+    )
+
+    degenerate = copy.deepcopy(_Z2Z6)
+    degenerate["sets"][3]["edges"] = [[[1, 2], [1, 2]]]
+    r = run_cli("verify-starter", "-", stdin=json.dumps(degenerate))
+    assert (r.returncode, r.stdout) == (USAGE, "")
+    assert r.stderr == "bad input: degenerate edge at (1, 2)\n"
+
+    partial = starter_from_payload(_z2z6_tampered())
+    A = partial.model.group.subgroup([(0, 1)])
+    with pytest.raises(ConstructionError) as exc:
+        complete_via_index2(partial.model, partial, A)
+    assert str(exc.value) == (
+        "partial starter cannot be completed: set 0: illegal edge (0, 0)~(1, 0);"
+        " repeats differences: [(1, 1), (1, 5)];"
+        " set 0: coset of (0, 1) has 0 marked endpoints (companion order 6);"
+        " set 4: coset of (1, 0) has 0 marked endpoints (companion order 6);"
+        " set 4: short edge (0, 0)~(1, 3) has difference (1, 3) outside its"
+        " companion subgroup;"
+        " uncovered differences inside the index-2 subgroup: [(0, 1), (0, 5)]"
+    )
+
+    fact = json.loads(run_cli("develop", "-", stdin=json.dumps(_Z2Z6)).stdout)
+    assert len(fact["factors"]) == 10
+    doubled = copy.deepcopy(fact)
+    doubled["factors"][1] = list(doubled["factors"][0])
+    doubled["factors"][2][0] = [0, 6]  # (0, 0) ~ (1, 0), inside a part
+    r = run_cli("verify-factorization", "-", "--invariance", stdin=json.dumps(doubled))
+    assert r.returncode == FAIL
+    assert r.stdout == _report(
+        ("factors are perfect matchings of legal edges", False, [
+            "factor 4: illegal edge (0, 0)~(1, 0) (difference (1, 0) in H)",
+            "factor 4: vertices covered != once: [(0, 3), (1, 0)]",
+        ]),
+        ("factors partition the edge set", False, [
+            "6 edges appear in more than one factor, e.g. [((0, 0), (0, 1)),"
+            " ((0, 2), (0, 3)), ((0, 4), (0, 5)), ((1, 0), (1, 1))]",
+        ]),
+        ("factor count equals mn - n", True, []),
+        invariant=False,
+    )
+
+    short = copy.deepcopy(fact)
+    short["factors"].pop()
+    r = run_cli("verify-factorization", "-", stdin=json.dumps(short))
+    assert r.returncode == FAIL
+    assert r.stdout == _report(
+        ("factors are perfect matchings of legal edges", True, []),
+        ("factors partition the edge set", False, ["54 distinct edges used, expected 60"]),
+        ("factor count equals mn - n", False, ["9 factors, expected 10"]),
+    )
 
 
 def test_star_import_resolves_every_exported_name():

@@ -86,16 +86,16 @@ def test_completion_p5():
     assert len(starter.sets) == 8
     assert starter.provenance["completed_pairs"] == 4
     singles = starter.sets[4:]
-    assert [s.edges[0].v for s in singles] == [
+    el = starter.model.group.elements()
+    assert [el[s.edges[0].v] for s in singles] == [
         (0, 2, 1),
         (1, 3, 1),
         (2, 0, 1),
         (2, 2, 1),
     ]
-    ident = starter.model.group.identity()
     for s in singles:
         assert len(s.edges) == 1
-        assert s.edges[0].u == ident
+        assert s.edges[0].u == 0  # the identity
         assert s.subgroup == A
     assert verify_starter(starter).passed
 
@@ -133,12 +133,12 @@ def test_completion_handles_involutions_and_passthrough():
     g = make_group([2, 2])
     model = build_model(g, g.subgroup([(0, 1)]))
     A = g.subgroup([(1, 0)])
-    covered = StarterSet((model.edge((0, 0), (1, 0)),), g.full_subgroup())
+    covered = StarterSet((model.edge(0, 2),), g.full_subgroup())  # (0, 0) ~ (1, 0)
     partial = Starter(model, (covered,))
     done = complete_via_index2(model, partial, A)
     assert len(done.sets) == 2
     extra = done.sets[1]
-    assert extra.edges[0] == model.edge((0, 0), (1, 1))
+    assert extra.edges[0] == model.edge(0, 3)  # (0, 0) ~ (1, 1)
     # an uncovered involution cannot take A (short edges must keep their
     # difference inside the companion), so the full group steps in
     assert extra.subgroup.order == 4
@@ -157,7 +157,7 @@ def test_completion_error_paths():
         complete_via_index2(model, empty, g.full_subgroup())
 
     m4 = build_model(make_group([4]), make_group([4]).subgroup([(2,)]))
-    e = m4.edge((0,), (1,))
+    e = m4.edge(0, 1)
     comp = m4.group.subgroup([(2,)])
     dup = Starter(m4, (StarterSet((e,), comp), StarterSet((e,), comp)))
     with pytest.raises(ConstructionError, match="repeats differences"):
@@ -166,7 +166,7 @@ def test_completion_error_paths():
 
 def test_doubling_golden():
     m4 = build_model(make_group([4]), make_group([4]).subgroup([(2,)]))
-    base = Starter(m4, (StarterSet((m4.edge((0,), (1,)),), m4.group.subgroup([(2,)])),))
+    base = Starter(m4, (StarterSet((m4.edge(0, 1),), m4.group.subgroup([(2,)])),))
     doubled = double_starter(base)
     assert list(doubled.model.group.cyclic_orders) == [4, 2]
     assert (doubled.model.m, doubled.model.n) == (2, 4)
@@ -175,8 +175,9 @@ def test_doubling_golden():
     assert all(s.subgroup.order == 4 for s in doubled.sets)
     # plain copy keeps differences in the 0 layer, mixed copy moves to 1
     g = doubled.model.group
-    plain_diffs = {g.sub(e.u, e.v)[-1] for e in doubled.sets[0].edges}
-    mixed_diffs = {g.sub(e.u, e.v)[-1] for e in doubled.sets[1].edges}
+    el = g.elements()
+    plain_diffs = {el[g.difference(e.u, e.v)][-1] for e in doubled.sets[0].edges}
+    mixed_diffs = {el[g.difference(e.u, e.v)][-1] for e in doubled.sets[1].edges}
     assert plain_diffs == {0}
     assert mixed_diffs == {1}
     assert verify_starter(doubled).passed
@@ -188,10 +189,10 @@ def test_doubling_golden():
 
 def test_doubling_rejects_bad_input():
     m4 = build_model(make_group([4]), make_group([4]).subgroup([(2,)]))
-    invalid = Starter(m4, (StarterSet((m4.edge((0,), (1,)),), m4.group.subgroup([])),))
+    invalid = Starter(m4, (StarterSet((m4.edge(0, 1),), m4.group.subgroup([])),))
     with pytest.raises(InvalidStarterError):
         double_starter(invalid)
-    base = Starter(m4, (StarterSet((m4.edge((0,), (1,)),), m4.group.subgroup([(2,)])),))
+    base = Starter(m4, (StarterSet((m4.edge(0, 1),), m4.group.subgroup([(2,)])),))
     redoubled = double_starter(base)
     with pytest.raises(ValueError, match="cyclic"):
         double_starter(redoubled)

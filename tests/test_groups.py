@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import time
 from math import prod
 
 import pytest
 
+from starfact.cli import main
 from starfact.groups import (
     AbelianGroup,
     all_subgroups,
@@ -57,9 +60,10 @@ def test_element_order():
 
 def test_involutions():
     assert make_group([5]).involutions == frozenset()
-    assert make_group([4]).involutions == frozenset({(2,)})
-    assert make_group([2, 2, 3]).involutions == frozenset(
-        {(1, 0, 0), (0, 1, 0), (1, 1, 0)}
+    assert make_group([4]).involutions == frozenset({2})
+    g = make_group([2, 2, 3])
+    assert g.involutions == frozenset(
+        g.vertex_index(a) for a in [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
     )
     # 2^s - 1 of them, s = number of even factors
     assert len(make_group([4, 2]).involutions) == 3
@@ -69,12 +73,19 @@ def test_involutions():
 def test_vertex_indexing_roundtrip():
     g = make_group([5, 5, 2])
     assert g.vertex_index((1, 2, 1)) == 15
-    assert g.vertex_at(15) == (1, 2, 1)
+    assert g.elements()[15] == (1, 2, 1)
     for i, a in enumerate(g.elements()):
         assert g.vertex_index(a) == i
-        assert g.vertex_at(i) == a
-    with pytest.raises(ValueError):
-        g.vertex_at(g.order)
+    # index arithmetic agrees with the coordinate arithmetic
+    for orders in ([5, 5, 2], [12], [2, 2, 3], [4, 6]):
+        g = make_group(orders)
+        el = g.elements()
+        index = g.vertex_index
+        for x, a in enumerate(el):
+            assert g.negs[x] == index(g.neg(a))
+            for y, b in enumerate(el):
+                assert g.translation(y)[x] == index(g.add(a, b))
+                assert g.difference(x, y) == index(g.sub(a, b))
 
 
 def test_elements_are_sorted_and_complete():
@@ -100,9 +111,11 @@ def test_subgroup_closure():
 
 def test_cosets_are_lex_least_reps():
     g = make_group([4])
-    assert g.cosets(g.subgroup([(2,)])) == [(0,), (1,)]
+    assert g.subgroup([(2,)]).coset_reps == (0, 1)
     g6 = make_group([6])
-    assert g6.cosets(g6.subgroup([(3,)])) == [(0,), (1,), (2,)]
+    assert g6.subgroup([(3,)]).coset_reps == (0, 1, 2)
+    g23 = make_group([2, 3])
+    assert g23.subgroup([(0, 1)]).coset_reps == (0, 3)
 
 
 def test_subgroup_lattice_sizes():
@@ -131,6 +144,26 @@ def test_subgroup_lattice_sizes():
         assert [(s.order, s.sorted_elements) for s in again] == keys
         assert again == all_subgroups(g)
         assert again is not all_subgroups(g)
+
+
+def test_lattice_listing_is_pinned_and_fast(capsys):
+    # sha256 of `groups --order O --subgroups`, recorded with the lattice
+    # built by adjoining every element to every subgroup; adjoining only
+    # least coset representatives must list the same subgroups, in the same
+    # order, with the same generators.
+    expected = {
+        32: "203a0427e26268894cdcae088b02c37133a320ca72c3a9c2407409f68e8026ca",
+        48: "3e7e3d8bcc69b3434736d3c83bb99c45db78c90960aea8756a6533852cf28b6f",
+        64: "61b18beb4c58c7d3fefbb535283c8c44b11360a1d87c41860e4bbe32ac5b3b97",
+        210: "d3b98128f144cff49f4aadc53dbb93008f0a21e267cd2cc4311438f654713983",
+    }
+    start = time.perf_counter()
+    for order, digest in expected.items():
+        assert main(["groups", "--order", str(order), "--subgroups"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, order
+    elapsed = time.perf_counter() - start
+    assert elapsed < 6.0, f"{elapsed:.2f}s"
 
 
 def test_subgroups_of_order():
@@ -218,7 +251,7 @@ def test_subgroup_properties_random_sweep():
         # closure generated twice is the same subgroup
         assert g.subgroup(s.sorted_elements).elements == s.elements
         assert g.order % s.order == 0
-        reps = g.cosets(s)
+        reps = [elems[r] for r in s.coset_reps]
         assert len(reps) == s.index
         seen = set()
         for r in reps:
@@ -243,6 +276,7 @@ def test_involution_count_random_sweep():
         g = _random_group(rng)
         s = sum(1 for n in g.cyclic_orders if n % 2 == 0)
         assert len(g.involutions) == 2**s - 1
-        for a in g.involutions:
+        for i in g.involutions:
+            a = g.elements()[i]
             assert g.add(a, a) == g.identity()
             assert a != g.identity()

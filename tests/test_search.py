@@ -41,7 +41,7 @@ def test_found_on_z4():
     assert verify_starter(out.witness).passed
     sets = out.witness.sets
     assert len(sets) == 1
-    assert [(e.u, e.v) for e in sets[0].edges] == [((0,), (1,))]
+    assert [(e.u, e.v) for e in sets[0].edges] == [(0, 1)]
     assert sets[0].subgroup.sorted_elements == ((0,), (2,))
     assert len(out.subgroups_tried) == 1
     assert out.subgroups_tried[0].sorted_elements == ((0,), (2,))
@@ -105,14 +105,17 @@ def test_search_depth_has_no_recursion_limit():
     assert sum(len(s.edges) for s in out.witness.sets) == 44
 
 
-def test_pool_is_bounded_by_root_branches(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap the process pool for one that runs its initializer and its
+    tasks in this process; the list records the sizes asked for."""
     sizes = []
 
     class InProcessPool:
-        """Runs tasks in this process and records the size asked for."""
-
-        def __init__(self, processes):
+        def __init__(self, processes, initializer=None, initargs=()):
             sizes.append(processes)
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -124,15 +127,37 @@ def test_pool_is_bounded_by_root_branches(monkeypatch):
             return map(func, tasks)
 
     monkeypatch.setattr(starfact.search, "Pool", InProcessPool)
+    return sizes
+
+
+def test_pool_is_bounded_by_root_branches(pool_sizes):
     m = _model([12], [(4,)])  # four root branches
     base = canonical_json(search_starter(m).payload())
     for workers in (2, 100_000):
         assert canonical_json(search_starter(m, workers=workers).payload()) == base
-    assert sizes == [2, 4]
+    assert pool_sizes == [2, 4]
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers"):
             search_starter(m, workers=workers)
-    assert sizes == [2, 4]
+    assert pool_sizes == [2, 4]
+
+
+def test_workers_reuse_the_parent_search_tables(pool_sizes, monkeypatch):
+    # The parent builds the search tables once and hands them to the pool;
+    # a branch task must not rebuild them.
+    built = []
+
+    class CountingCtx(starfact.search._Ctx):
+        def __init__(self, model):
+            built.append(model)
+            super().__init__(model)
+
+    monkeypatch.setattr(starfact.search, "_Ctx", CountingCtx)
+    m = _model([4, 9], [(1, 0)])  # the witness lies in the second branch
+    out = search_starter(m, workers=2)
+    assert (out.status, out.nodes_explored) == (FOUND, 20)
+    assert pool_sizes == [2]
+    assert len(built) == 1
 
 
 def test_worker_count_does_not_change_results():
@@ -153,10 +178,10 @@ def test_witness_on_z12_order3_parts():
         ([(e.u, e.v) for e in s.edges], s.subgroup.order) for s in out.witness.sets
     ]
     assert shaped == [
-        ([((0,), (1,))], 6),
-        ([((0,), (2,)), ((1,), (7,))], 4),
-        ([((0,), (3,))], 6),
-        ([((0,), (5,))], 6),
+        ([(0, 1)], 6),
+        ([(0, 2), (1, 7)], 4),
+        ([(0, 3)], 6),
+        ([(0, 5)], 6),
     ]
     # companions are probed largest first
     assert [s.order for s in out.subgroups_tried] == [6, 4, 3, 2]
@@ -170,7 +195,7 @@ def test_enumerate_all_starters_z4():
     edges = sorted(
         (s.edges[0].u, s.edges[0].v) for w in out.witnesses for s in w.sets
     )
-    assert edges == [((0,), (1,)), ((0,), (3,)), ((1,), (2,)), ((2,), (3,))]
+    assert edges == [(0, 1), (0, 3), (1, 2), (2, 3)]
     assert out.witness == out.witnesses[0]
     for w in out.witnesses:
         assert verify_starter(w).passed

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from starfact.cayley import build_model
-from starfact.groups import make_group
+from starfact.groups import enumerate_abelian_groups, make_group, subgroups_of_order
 from starfact.search import search_starter
 from starfact.serialize import (
     canonical_json,
@@ -37,7 +37,7 @@ def _model(orders, h_gens):
 def _golden_starter():
     """One long edge [0,1] with the index-2 companion over Z_4."""
     m = _model([4], [(2,)])
-    sset = StarterSet((m.edge((0,), (1,)),), m.group.subgroup([(2,)]))
+    sset = StarterSet((m.edge(0, 1),), m.group.subgroup([(2,)]))
     return Starter(m, (sset,))
 
 
@@ -50,7 +50,7 @@ def test_golden_starter_passes():
 
 def test_trivial_companion_breaks_transversal():
     m = _model([4], [(2,)])
-    sset = StarterSet((m.edge((0,), (1,)),), m.group.subgroup([]))
+    sset = StarterSet((m.edge(0, 1),), m.group.subgroup([]))
     report = verify_starter(Starter(m, (sset,)))
     assert not report.passed
     assert report.condition1.ok
@@ -61,20 +61,20 @@ def test_trivial_companion_breaks_transversal():
 def test_duplicate_and_missing_differences_reported():
     m = _model([4], [(2,)])
     comp = m.group.subgroup([(2,)])
-    e = m.edge((0,), (1,))
+    e = m.edge(0, 1)
     report = verify_starter(Starter(m, (StarterSet((e,), comp), StarterSet((e,), comp))))
     assert not report.condition1.ok
     assert any("covered 2 times" in v for v in report.condition1.violations)
 
     m6 = _model([6], [(3,)])
-    sset = StarterSet((m6.edge((0,), (1,)),), m6.group.subgroup([(3,)]))
+    sset = StarterSet((m6.edge(0, 1),), m6.group.subgroup([(3,)]))
     report = verify_starter(Starter(m6, (sset,)))
     assert any("not covered" in v for v in report.condition1.violations)
 
 
 def test_illegal_edge_reported_not_thrown():
     m = _model([4], [(2,)])
-    bad = m.edge_unchecked((0,), (2,))  # difference lies in H
+    bad = m.edge_unchecked(0, 2)  # difference lies in H
     report = verify_starter(Starter(m, (StarterSet((bad,), m.group.subgroup([(2,)])),)))
     assert not report.passed
     assert any("illegal" in v for v in report.condition1.violations)
@@ -82,7 +82,7 @@ def test_illegal_edge_reported_not_thrown():
 
 def test_short_edge_companion_membership():
     m = _model([2, 2], [(1, 0)])
-    short = m.edge((0, 0), (0, 1))
+    short = m.edge(0, 1)  # (0, 0) ~ (0, 1)
     inside = StarterSet((short,), m.group.full_subgroup())
     outside = StarterSet((short,), m.group.subgroup([(1, 0)]))
     assert check_short_edge_membership(m, [inside]).ok
@@ -94,10 +94,7 @@ def test_short_edge_companion_membership():
 def test_develop_golden():
     fact = develop_factorization(_golden_starter())
     shaped = [[(e.u, e.v) for e in f] for f in fact.factors]
-    assert shaped == [
-        [((0,), (1,)), ((2,), (3,))],
-        [((0,), (3,)), ((1,), (2,))],
-    ]
+    assert shaped == [[(0, 1), (2, 3)], [(0, 3), (1, 2)]]
     report = verify_factorization(fact.model, fact)
     assert report.passed
     assert check_invariance(fact.model, fact)
@@ -106,7 +103,7 @@ def test_develop_golden():
 
 def test_develop_rejects_invalid_starter():
     m = _model([4], [(2,)])
-    broken = Starter(m, (StarterSet((m.edge((0,), (1,)),), m.group.subgroup([])),))
+    broken = Starter(m, (StarterSet((m.edge(0, 1),), m.group.subgroup([])),))
     with pytest.raises(InvalidStarterError) as exc:
         develop_factorization(broken)
     assert exc.value.report.passed is False
@@ -139,7 +136,7 @@ def test_verify_factorization_failures():
 
 def test_non_invariant_factor_set_detected():
     m = _model([4], [(2,)])
-    lone = tuple(sorted([m.edge((0,), (1,)), m.edge((2,), (3,))]))
+    lone = tuple(sorted([m.edge(0, 1), m.edge(2, 3)]))
     fact = OneFactorization(m, (lone,))
     assert not check_invariance(m, fact)
     assert not check_invariance(m, fact, exhaustive=True)
@@ -225,3 +222,29 @@ def test_searched_witnesses_develop_cleanly():
         assert len(fact.factors) == m.group.order - m.n
         assert verify_factorization(m, fact).passed
         assert check_invariance(m, fact, exhaustive=True)
+
+
+def test_witness_json_round_trips_are_byte_stable():
+    # Every search witness on a group of order <= 16, cyclic or not: the
+    # starter JSON and the developed factorization JSON both survive a load
+    # and a dump unchanged.
+    witnesses = []
+    for order in range(4, 17, 2):
+        for group in enumerate_abelian_groups(order):
+            for size in range(2, order):
+                if order % size:
+                    continue
+                for H in subgroups_of_order(group, size):
+                    outcome = search_starter(build_model(group, H))
+                    if outcome.status != "found":
+                        continue
+                    primes = [p for p, _ in group.isomorphism_key()]
+                    witnesses.append(len(set(primes)) < len(primes))  # non-cyclic
+                    payload = json.loads(canonical_json(starter_payload(outcome.witness)))
+                    back = starter_from_payload(payload)
+                    assert canonical_json(starter_payload(back)) == canonical_json(payload)
+                    fact = factorization_payload(develop_factorization(back))
+                    again = factorization_payload(factorization_from_payload(fact))
+                    assert canonical_json(again) == canonical_json(fact)
+    assert len(witnesses) == 154
+    assert sum(witnesses) == 143
