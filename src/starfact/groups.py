@@ -35,7 +35,9 @@ class AbelianGroup:
     cyclic_orders: tuple[int, ...]
 
     def __post_init__(self):
-        orders = tuple(int(n) for n in self.cyclic_orders)
+        orders = tuple(self.cyclic_orders)
+        if any(type(n) is not int for n in orders):  # exactly int, as for coordinates
+            raise ValueError(f"cyclic factor orders must be integers, got {orders!r}")
         if not orders:
             raise ValueError("a group needs at least one cyclic factor")
         if any(n < 2 for n in orders):
@@ -233,7 +235,7 @@ class Subgroup:
 
 def make_group(cyclic_orders) -> AbelianGroup:
     """Build the direct product of cyclic groups of the given orders."""
-    return AbelianGroup(tuple(int(n) for n in cyclic_orders))
+    return AbelianGroup(tuple(cyclic_orders))
 
 
 def _adjoin(group: AbelianGroup, elems: frozenset[Element], g: Element) -> frozenset[Element]:

@@ -13,7 +13,11 @@ enumerates every starter literally, each exactly once.
 
 The walk applies each move to one mutable state and undoes it after the
 subtree below, and it keeps its levels on an explicit stack, so search depth
-has no recursion limit.
+has no recursion limit.  Each move reads its placements from a table keyed
+by (companion, difference, hit-coset mask) that holds only the placements
+that fit, filled on first use, so a node builds and rejects none.  The
+total of open slots travels with each move as one integer, so no node sums
+it over the open sets.
 
 Budgets count search-tree nodes in depth-first order.  Work splits across
 top-level branches (the companion choice of the first set); a merge step
@@ -78,7 +82,14 @@ class SearchOutcome:
 class _Ctx:
     """Search tables for one (group, H) model, on vertex indices.  The group
     supplies negation, involutions, translation rows, the lattice of
-    companions and their cached coset indices."""
+    companions and their cached coset indices.
+
+    fits maps (companion, w, hit) to the placements of difference w that a
+    set of that companion whose endpoints already hit the cosets in hit can
+    take, as (hit | mark, edge) pairs in _placements order.  It starts empty
+    and fills as the walk asks; a fresh set reads the entry with hit 0.  Pool
+    workers get the table with the rest of the context and fill their own
+    copy."""
 
     def __init__(self, model: CayleyModel):
         self.model = model
@@ -98,6 +109,7 @@ class _Ctx:
             sum(1 << i for i in self.omega_ids if i in self.invol and member[i])
             for member in self.comp_member
         ]
+        self.fits: dict[tuple[int, int, int], tuple] = {}  # filled by _fill
 
 
 def _placements(ctx: _Ctx, comp: int, w: int):
@@ -116,40 +128,60 @@ def _placements(ctx: _Ctx, comp: int, w: int):
             yield 1 << coset[x] | 1 << coset[y], (y, x)
 
 
-def _moves(ctx: _Ctx, sets: list, covered: int, w: int, comps, anchor: bool):
-    """Apply each move that covers difference w to sets in place, yield the
-    new cover, and undo the move before applying the next.
+def _fill(ctx: _Ctx, key: tuple[int, int, int]) -> tuple:
+    """Compute and keep ctx.fits[key]: for key (companion, w, hit), the
+    (hit | mark, edge) pairs of the placements whose mark misses hit."""
+    comp, w, hit = key
+    fits = ctx.fits[key] = tuple(
+        (hit | mark, edge) for mark, edge in _placements(ctx, comp, w) if not mark & hit
+    )
+    return fits
 
-    A set takes an edge realizing w when its companion contains w exactly
-    if w is an involution, and it has need slots left: 1 for a short edge, 2
-    for a long one.  Moves come in a fixed order: every placement in each
-    open set, then every placement on a fresh set of each companion in comps
-    whose index fits the uncovered differences.  With anchor, a fresh set
-    takes only its first placement, the edge at the identity.
+
+def _moves(ctx: _Ctx, sets: list, covered: int, slots: int, w: int, comps, anchor: bool):
+    """Apply each move that covers difference w to sets in place, yield the
+    new (cover, open slots), and undo the move before applying the next.
+
+    slots is the total of open slots in sets before the move.  A set takes
+    an edge realizing w when its companion contains w exactly if w is an
+    involution, and it has need slots left: 1 for a short edge, 2 for a long
+    one.  Moves come in a fixed order: every placement in each open set,
+    then every placement on a fresh set of each companion in comps whose
+    index fits the uncovered differences.  With anchor, a fresh set takes
+    only its first placement, the edge at the identity.
     """
+    table = ctx.fits
     inv = w in ctx.invol
     need = 1 if inv else 2
     cover = covered | 1 << w | 1 << ctx.neg[w]
+    extended = cover, slots - need
     for s in sets:
-        comp, slots, hit, edges = s
-        if slots < need or ctx.comp_member[comp][w] != inv:
+        comp, left, hit, edges = s
+        if left < need or ctx.comp_member[comp][w] != inv:
             continue
-        for mark, edge in _placements(ctx, comp, w):
-            if mark & hit:
-                continue
-            s[1], s[2] = slots - need, hit | mark
+        key = comp, w, hit
+        fits = table.get(key)
+        if fits is None:  # an entry may be (), so test for None
+            fits = _fill(ctx, key)
+        s[1] = left - need
+        for s[2], edge in fits:  # the new hit mask goes in place
             edges.append(edge)
-            yield cover
-            s[1], s[2] = slots, hit
+            yield extended
             edges.pop()
+        s[1], s[2] = left, hit
     uncovered = (ctx.omega_mask & ~covered).bit_count()
     for comp in comps:
         index = ctx.comp_index[comp]
         if index > uncovered or ctx.comp_member[comp][w] != inv:
             continue
-        for mark, edge in _placements(ctx, comp, w):
+        key = comp, w, 0
+        fits = table.get(key)
+        if fits is None:
+            fits = _fill(ctx, key)
+        opened = cover, slots + index - need
+        for mark, edge in fits:
             sets.append([comp, index - need, mark, [edge]])
-            yield cover
+            yield opened
             sets.pop()
             if anchor:
                 break
@@ -173,7 +205,7 @@ def _root_branches(ctx: _Ctx) -> list[int]:
     # least difference; a fresh set's feasibility does not depend on the
     # placement, so these branches serve every mode.
     sets: list = []
-    root = _moves(ctx, sets, 0, ctx.omega_ids[0], range(len(ctx.companions)), True)
+    root = _moves(ctx, sets, 0, 0, ctx.omega_ids[0], range(len(ctx.companions)), True)
     return [sets[0][0] for _ in root]
 
 
@@ -182,8 +214,9 @@ def _run_branch(ctx: _Ctx, comp: int, cap: int | None, mode: str):
     set with the given companion.
 
     One state holds the open sets as [companion, slots left, hit-coset
-    bitmask, edges]; each level's move generator changes it and restores it.
-    The levels sit on an explicit stack, so depth costs no Python frames.
+    bitmask, edges]; each level's move generator changes it and restores it,
+    and yields the cover and the open-slot total after its move.  The levels
+    sit on an explicit stack, so depth costs no Python frames.
     """
     collect = mode == "all"
     anchor = not collect
@@ -191,9 +224,10 @@ def _run_branch(ctx: _Ctx, comp: int, cap: int | None, mode: str):
     hits: list[tuple[int, list]] = []  # (node count at hit, [(companion, edges)])
     nodes = 0
     every_comp = range(len(ctx.companions))
-    stack = [_moves(ctx, sets, 0, ctx.omega_ids[0], (comp,), anchor)]
+    stack = [_moves(ctx, sets, 0, 0, ctx.omega_ids[0], (comp,), anchor)]
     while stack:
-        covered = next(stack[-1], 0)  # a move always covers w, so 0 means done
+        # A move always covers w, so cover 0 means the level is done.
+        covered, slots = next(stack[-1], (0, 0))
         if not covered:
             stack.pop()
             continue
@@ -201,7 +235,7 @@ def _run_branch(ctx: _Ctx, comp: int, cap: int | None, mode: str):
         if cap is not None and nodes > cap:
             return cap, hits, True
         free = ctx.omega_mask & ~covered
-        if sum(s[1] for s in sets) > free.bit_count():
+        if slots > free.bit_count():
             continue
         if not free:
             hits.append((nodes, [(s[0], list(s[3])) for s in sets]))
@@ -211,7 +245,7 @@ def _run_branch(ctx: _Ctx, comp: int, cap: int | None, mode: str):
         if any(s[1] % 2 and not ctx.comp_invol_omega[s[0]] & free for s in sets):
             continue
         w = (free & -free).bit_length() - 1
-        stack.append(_moves(ctx, sets, covered, w, every_comp, anchor))
+        stack.append(_moves(ctx, sets, covered, slots, w, every_comp, anchor))
     return nodes, hits, False
 
 

@@ -213,11 +213,17 @@ def test_doubling_invalid_starter_exits_1():
         ("factorization", ("factors", 0, 0, 1), 1.5),
         ("factorization", ("factors", 0, 0, 1), True),
         ("factorization", ("factors", 0, 0, 1), "1"),
+        ("starter", ("group", "cyclic_orders", 0), 4.5),
+        ("starter", ("group", "cyclic_orders", 0), "4"),
+        ("starter", ("group", "cyclic_orders", 0), 4.0),
+        ("starter", ("group", "cyclic_orders", 0), True),
+        ("factorization", ("group", "cyclic_orders", 0), 4.0),
     ],
 )
 def test_non_integer_json_numbers_exit_64(kind, path, value):
-    # JSON coordinates, generators and vertex indices must be integers; a
-    # float, string or bool is rejected, never truncated or coerced.
+    # JSON group orders, coordinates, generators and vertex indices must be
+    # integers; a float, string or bool is rejected, never truncated or
+    # coerced.
     payload = json.loads(golden_starter_json())
     command = "verify-starter"
     if kind == "factorization":

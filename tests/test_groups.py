@@ -27,6 +27,12 @@ def test_make_group_rejects_bad_orders():
         make_group([4, 1])
     with pytest.raises(ValueError):
         make_group([0])
+    # orders must be exactly int, never truncated or coerced
+    for bad in (4.5, "4", 4.0, True):
+        with pytest.raises(ValueError, match="integers"):
+            make_group([bad])
+        with pytest.raises(ValueError, match="integers"):
+            AbelianGroup((2, bad))
 
 
 def test_element_reduction_and_shape():
@@ -144,6 +150,29 @@ def test_subgroup_lattice_sizes():
         assert [(s.order, s.sorted_elements) for s in again] == keys
         assert again == all_subgroups(g)
         assert again is not all_subgroups(g)
+
+
+def _gaussian_binomial(k: int, j: int, p: int) -> int:
+    """Number of j-dimensional subspaces of F_p^k."""
+    num = prod(p ** (k - i) - 1 for i in range(j))
+    den = prod(p ** (j - i) - 1 for i in range(j))
+    return num // den
+
+
+def test_subgroup_counts_match_lattice_oracles():
+    # Z_p^k is the vector space F_p^k, so its subgroups are the subspaces:
+    # sum over j of the Gaussian binomial [k choose j]_p.
+    expected = {(2, 2): 5, (2, 3): 16, (2, 4): 67, (3, 2): 6, (3, 3): 28, (5, 2): 8}
+    for (p, k), count in expected.items():
+        assert sum(_gaussian_binomial(k, j, p) for j in range(k + 1)) == count
+        subs = make_group([p] * k).subgroups
+        assert len(subs) == count, (p, k)
+        by_order = [sum(s.order == p**j for s in subs) for j in range(k + 1)]
+        assert by_order == [_gaussian_binomial(k, j, p) for j in range(k + 1)], (p, k)
+    # Z_n has exactly one subgroup of each order dividing n.
+    for n in range(2, 61):
+        orders = [s.order for s in make_group([n]).subgroups]
+        assert orders == [d for d in range(1, n + 1) if n % d == 0], n
 
 
 def test_lattice_listing_is_pinned_and_fast(capsys):

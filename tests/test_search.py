@@ -3,6 +3,7 @@ cross-check."""
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import sys
 import time
@@ -11,6 +12,7 @@ import pytest
 
 import starfact.search
 from starfact.cayley import build_model
+from starfact.constructions import classify_existence
 from starfact.groups import enumerate_abelian_groups, make_group, subgroups_of_order
 from starfact.search import (
     BUDGET_EXCEEDED,
@@ -229,6 +231,30 @@ def test_enumeration_respects_budget():
         assert got == (status, nodes, count), (orders, h_gens, budget)
 
 
+@pytest.mark.parametrize(
+    "orders, h_gens, mode, budget, status, nodes, count, digest",
+    [
+        ([2, 3, 5], [(1, 1, 0)], "all", 100_000, BUDGET_EXCEEDED, 100_000, 0,
+         "69f2b7dc53b7a583ed0de191c5698b14c211dd9fd05457b0c7fa23f4507ed261"),
+        ([2, 3, 5], [(1, 1, 0)], "exhaust", 300_000, BUDGET_EXCEEDED, 300_000, 0,
+         "80b389d682ab103cb054da49e7fe5267272cf36d003b09afd34da1822fd9c640"),
+        ([6, 3], [(2, 0)], "exhaust", None, FOUND, 183, 0,
+         "0d70f79d32f8383c58e8a4f0849b611b6d48c4281ef1a3ce23e7063df8e92af6"),
+        ([2, 3, 3], [(1, 0, 0), (0, 1, 0)], "exhaust", None, NONE_EXISTS, 15_869, 0,
+         "90085a0f417ab851efece9b22fda219f48b348bb6c8ea7c119a549cf31e04d51"),
+        ([4, 5], [(2, 0)], "all", 50_000, BUDGET_EXCEEDED, 50_000, 5_756,
+         "61ebb6e9f8eef8615433053b7f41d12a38df78120c2df65d9899c85fd6fd8ed2"),
+    ],
+)
+def test_search_tree_is_pinned(orders, h_gens, mode, budget, status, nodes, count, digest):
+    # Deep trees in both move orders (anchored and literal).  The payload
+    # hash pins the witnesses found and where the budget cut the walk, so a
+    # faster engine must walk the same tree move for move.
+    out = search_starter(_model(orders, h_gens), mode=mode, budget=budget)
+    assert (out.status, out.nodes_explored, len(out.witnesses)) == (status, nodes, count)
+    assert hashlib.sha256(canonical_json(out.payload()).encode()).hexdigest() == digest
+
+
 def test_bad_mode_and_budget_zero():
     m = _model([4], [(2,)])
     with pytest.raises(ValueError, match="mode"):
@@ -321,6 +347,33 @@ def test_certify_small_pairs():
     }
     assert certify_nonexistence(5, 2).status == "certified"
     assert certify_nonexistence(7, 2).status == "certified"
+
+
+# Pairs with mn <= 24 that classify_existence leaves unknown; certification
+# finds a witness for each.  These are computed facts, not rules.
+_UNKNOWN_PAIRS_WITH_WITNESSES = {(3, 4), (5, 4), (9, 2), (3, 8)}
+
+
+def test_existence_atlas_agrees_with_classifier():
+    start = time.perf_counter()
+    checked = set()
+    for mn in range(4, 25, 2):
+        for n in range(2, mn // 2 + 1):
+            if mn % n:
+                continue
+            m = mn // n
+            verdict = classify_existence(m, n).status
+            result = certify_nonexistence(m, n, budget=20_000).status
+            if (m, n) in _UNKNOWN_PAIRS_WITH_WITNESSES:
+                assert (verdict, result) == ("unknown", "witness"), (m, n)
+            else:
+                assert (verdict, result) in {
+                    ("exists", "witness"),
+                    ("not_exists", "certified"),
+                }, (m, n, verdict, result)
+            checked.add((m, n))
+    assert len(checked) == 32 and _UNKNOWN_PAIRS_WITH_WITNESSES <= checked
+    assert time.perf_counter() - start < 10.0
 
 
 def test_certify_finds_witness_and_stops():
