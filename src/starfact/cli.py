@@ -154,13 +154,17 @@ def _cmd_verify_factorization(args) -> int:
     return EX_OK if passed else EX_FAIL
 
 
+def _check_workers(args) -> None:
+    if args.workers < 1:
+        raise ValueError(f"workers must be at least 1, got {args.workers}")
+
+
 def _cmd_search(args) -> int:
+    _check_workers(args)
     group = _parse_group(args.group)
     H = group.subgroup(_parse_generators(args.H, group.rank))
     model = build_model(group, H)
-    outcome = search_starter(
-        model, mode=args.mode, budget=args.budget, workers=args.workers
-    )
+    outcome = search_starter(model, mode=args.mode, budget=args.budget)
     _write_text(args.out, canonical_json(outcome.payload()))
     _maybe_emit_edges(args, model)
     if outcome.status == FOUND:
@@ -171,9 +175,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_certify_nonexist(args) -> int:
-    result = certify_nonexistence(
-        args.m, args.n, budget=args.budget, workers=args.workers
-    )
+    _check_workers(args)
+    result = certify_nonexistence(args.m, args.n, budget=args.budget)
     _write_text(args.out, canonical_json(result.payload()))
     if result.status == "certified":
         return EX_NONE
@@ -213,6 +216,16 @@ def _cmd_groups(args) -> int:
 def _add_out(parser) -> None:
     parser.add_argument(
         "-o", "--out", default="-", help="output path (default stdout)"
+    )
+
+
+def _add_workers(parser) -> None:
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility and must be at least 1;"
+        " the search runs in one process",
     )
 
 
@@ -274,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop at the first witness, certify emptiness, or enumerate all",
     )
     p.add_argument("--budget", type=int, help="node budget (default unlimited)")
-    p.add_argument("--workers", type=int, default=1)
+    _add_workers(p)
     p.add_argument("--emit-edges", help="also write the model edge list here")
     _add_out(p)
     p.set_defaults(func=_cmd_search)
@@ -286,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int, help="node budget per (group, H) pair")
-    p.add_argument("--workers", type=int, default=1)
+    _add_workers(p)
     _add_out(p)
     p.set_defaults(func=_cmd_certify_nonexist)
 

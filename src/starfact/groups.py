@@ -25,7 +25,13 @@ __all__ = [
     "subgroups_of_order",
     "enumerate_abelian_groups",
     "factorize",
+    "MAX_GROUP_ORDER",
 ]
+
+# The largest group order accepted.  A group keeps per-element tables
+# (translation rows, negation, coset indices), so a larger order is refused
+# with ValueError before any of them is allocated.
+MAX_GROUP_ORDER = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -42,8 +48,11 @@ class AbelianGroup:
             raise ValueError("a group needs at least one cyclic factor")
         if any(n < 2 for n in orders):
             raise ValueError(f"cyclic factor orders must be >= 2, got {orders}")
+        order = prod(orders)
+        if order > MAX_GROUP_ORDER:
+            raise ValueError(f"group order {order} exceeds the maximum {MAX_GROUP_ORDER}")
         object.__setattr__(self, "cyclic_orders", orders)
-        object.__setattr__(self, "_rows", [None] * prod(orders))  # see translation
+        object.__setattr__(self, "_rows", [None] * order)  # see translation
 
     @property
     def order(self) -> int:

@@ -19,19 +19,14 @@ that fit, filled on first use, so a node builds and rejects none.  The
 total of open slots travels with each move as one integer, so no node sums
 it over the open sets.
 
-Budgets count search-tree nodes in depth-first order.  Work splits across
-top-level branches (the companion choice of the first set); a merge step
-replays the sequential accounting, so status, witnesses, and node counts do
-not depend on the worker count.  workers must be at least 1.  A multi-worker
-run starts at most one process per root branch, consumes branch results in
-order, and stops its workers once the outcome is decided.
+Every search runs in one process as one walk from the root.  Budgets count
+search-tree nodes in depth-first order, the root included, and a search
+stops as soon as its outcome is decided.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 from .cayley import CayleyModel, build_model
 from .groups import Subgroup, enumerate_abelian_groups, subgroups_of_order
@@ -87,9 +82,7 @@ class _Ctx:
     fits maps (companion, w, hit) to the placements of difference w that a
     set of that companion whose endpoints already hit the cosets in hit can
     take, as (hit | mark, edge) pairs in _placements order.  It starts empty
-    and fills as the walk asks; a fresh set reads the entry with hit 0.  Pool
-    workers get the table with the rest of the context and fill their own
-    copy."""
+    and fills as the walk asks; a fresh set reads the entry with hit 0."""
 
     def __init__(self, model: CayleyModel):
         self.model = model
@@ -201,30 +194,34 @@ def _witness_starter(ctx: _Ctx, witness_sets) -> Starter:
 
 
 def _root_branches(ctx: _Ctx) -> list[int]:
-    # Anchored root moves open one set per companion that can take the
-    # least difference; a fresh set's feasibility does not depend on the
-    # placement, so these branches serve every mode.
+    # The companions that can open the first set, which a search reports as
+    # subgroups_tried.  Anchored root moves open one set per companion that
+    # can take the least difference; a fresh set's feasibility does not
+    # depend on the placement, so the list serves every mode.
     sets: list = []
     root = _moves(ctx, sets, 0, 0, ctx.omega_ids[0], range(len(ctx.companions)), True)
     return [sets[0][0] for _ in root]
 
 
-def _run_branch(ctx: _Ctx, comp: int, cap: int | None, mode: str):
-    """(nodes, hits, aborted) for the top-level branch that opens the first
-    set with the given companion.
+def _walk(ctx: _Ctx, cap: int | None, collect: bool):
+    """(nodes, hits, aborted) for the whole tree below the root, walked in
+    depth-first order.  nodes counts the nodes walked, or is cap when the
+    walk stops because the next node would pass it (aborted).  hits holds
+    [(companion, edges)] for each complete starter met; without collect the
+    walk stops at the first.
 
     One state holds the open sets as [companion, slots left, hit-coset
     bitmask, edges]; each level's move generator changes it and restores it,
     and yields the cover and the open-slot total after its move.  The levels
-    sit on an explicit stack, so depth costs no Python frames.
+    sit on an explicit stack, so depth costs no Python frames.  The root
+    level opens the first set with every companion in turn.
     """
-    collect = mode == "all"
     anchor = not collect
     sets: list[list] = []
-    hits: list[tuple[int, list]] = []  # (node count at hit, [(companion, edges)])
+    hits: list[list] = []
     nodes = 0
     every_comp = range(len(ctx.companions))
-    stack = [_moves(ctx, sets, 0, 0, ctx.omega_ids[0], (comp,), anchor)]
+    stack = [_moves(ctx, sets, 0, 0, ctx.omega_ids[0], every_comp, anchor)]
     while stack:
         # A move always covers w, so cover 0 means the level is done.
         covered, slots = next(stack[-1], (0, 0))
@@ -238,7 +235,7 @@ def _run_branch(ctx: _Ctx, comp: int, cap: int | None, mode: str):
         if slots > free.bit_count():
             continue
         if not free:
-            hits.append((nodes, [(s[0], list(s[3])) for s in sets]))
+            hits.append([(s[0], list(s[3])) for s in sets])
             if not collect:
                 break
             continue
@@ -249,26 +246,10 @@ def _run_branch(ctx: _Ctx, comp: int, cap: int | None, mode: str):
     return nodes, hits, False
 
 
-_worker_ctx: _Ctx | None = None
-
-
-def _init_worker(ctx: _Ctx) -> None:
-    """Pool initializer: keep the parent's search tables in the worker."""
-    global _worker_ctx
-    _worker_ctx = ctx
-
-
-def _branch_task(args):
-    """_run_branch in a worker process; hits come back as raw index data."""
-    comp, cap, mode = args
-    return _run_branch(_worker_ctx, comp, cap, mode)
-
-
 def search_starter(
     model: CayleyModel,
     mode: str = "first",
     budget: int | None = None,
-    workers: int = 1,
 ) -> SearchOutcome:
     """Find a starter for the model, prove none exists, or enumerate all.
 
@@ -276,64 +257,27 @@ def search_starter(
     translation-normalized tree; exhaust is the certification alias, since a
     run that returns none_exists has provably emptied the space.  Mode all
     keeps going and reports every starter, with no normalization applied.
-    budget limits the number of search-tree nodes; when it runs out the
-    outcome is budget_exceeded, never a silent none_exists.  workers > 1
-    fans top-level branches out to at most that many processes, one per
-    branch at most, which stop once the outcome is decided; results are
-    identical to the single-process run.  workers < 1 raises ValueError.
+    budget limits the number of search-tree nodes, the root included; when
+    it runs out the outcome is budget_exceeded, never a silent none_exists.
+    The search runs in this process and returns as soon as its outcome is
+    decided.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     ctx = _Ctx(model)
-    branches = _root_branches(ctx)
-    tried = tuple(ctx.companions[c] for c in branches)
+    tried = tuple(ctx.companions[c] for c in _root_branches(ctx))
     if budget is not None and budget < 1:
         return SearchOutcome(BUDGET_EXCEEDED, None, 0, tried)
-    cap = None if budget is None else budget - 1
-    # Replay sequential accounting: the root costs one node, then branches
-    # run in order against the remaining allowance.
-    total = 1
-    remaining = cap
-    collected: list[Starter] = []
-
-    parallel = workers > 1 and len(branches) > 1
-    # Leaving the block terminates the workers, so a decided replay stops
-    # the branches still running.  Workers get ctx once, from the
-    # initializer; under fork it is inherited, not pickled.
-    pool = Pool(min(workers, len(branches)), _init_worker, (ctx,)) if parallel else None
-    with pool or nullcontext():
-        if pool is None:
-            # Lazy, so the replay stops running branches once the outcome is
-            # decided; each branch is capped by the allowance left when it
-            # starts.
-            results = (_run_branch(ctx, comp, remaining, mode) for comp in branches)
-        else:
-            results = pool.imap(_branch_task, [(comp, cap, mode) for comp in branches])
-        for nodes, hits, aborted in results:
-            usable = [h for h in hits if remaining is None or h[0] <= remaining]
-            if mode != "all" and usable:
-                at, sets = usable[0]
-                return SearchOutcome(
-                    FOUND, _witness_starter(ctx, sets), total + at, tried
-                )
-            for _, sets in usable:
-                collected.append(_witness_starter(ctx, sets))
-            if remaining is not None and (aborted or nodes > remaining):
-                return SearchOutcome(
-                    BUDGET_EXCEEDED,
-                    collected[0] if collected else None,
-                    total + remaining,
-                    tried,
-                    tuple(collected),
-                )
-            total += nodes
-            if remaining is not None:
-                remaining -= nodes
-    if collected:
-        return SearchOutcome(FOUND, collected[0], total, tried, tuple(collected))
-    return SearchOutcome(NONE_EXISTS, None, total, tried)
+    collect = mode == "all"
+    # The root costs one node; the walk counts the nodes below it.
+    nodes, hits, aborted = _walk(ctx, None if budget is None else budget - 1, collect)
+    found = tuple(_witness_starter(ctx, sets) for sets in hits)
+    if aborted:
+        status = BUDGET_EXCEEDED
+    else:
+        status = FOUND if found else NONE_EXISTS
+    witness = found[0] if found else None
+    return SearchOutcome(status, witness, 1 + nodes, tried, found if collect else ())
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +305,7 @@ class CertificationResult:
         return out
 
 
-def certify_nonexistence(
-    m: int, n: int, budget: int | None = None, workers: int = 1
-) -> CertificationResult:
+def certify_nonexistence(m: int, n: int, budget: int | None = None) -> CertificationResult:
     """Run the search over every abelian group of order mn and every subgroup
     of order n.  certified means every pair exhausted with no witness; a
     budget_exceeded on any pair downgrades the result, never silently."""
@@ -378,9 +320,7 @@ def certify_nonexistence(
     exceeded = False
     for group in enumerate_abelian_groups(m * n):
         for H in subgroups_of_order(group, n):
-            outcome = search_starter(
-                build_model(group, H), mode="exhaust", budget=budget, workers=workers
-            )
+            outcome = search_starter(build_model(group, H), mode="exhaust", budget=budget)
             pairs.append(
                 {
                     "group": list(group.cyclic_orders),

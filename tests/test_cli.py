@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import copy
 import json
+import multiprocessing.process
+import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
 from starfact.cayley import build_model
-from starfact.constructions import ConstructionError, complete_via_index2
+from starfact.cli import main
+from starfact.constructions import ConstructionError, complete_via_index2, construct_prime_power
 from starfact.groups import make_group
 from starfact.serialize import canonical_json, starter_from_payload, starter_payload
 from starfact.starters import Starter, StarterSet
@@ -131,6 +135,28 @@ def test_search_workers_flag_matches_single_process():
     assert base.returncode == multi.returncode == OK
 
 
+def test_workers_flag_starts_no_process(tmp_path, monkeypatch):
+    # --workers is accepted for compatibility: every search runs in this
+    # process and writes the same bytes for any worker count.
+    def no_process(*args, **kwargs):
+        raise AssertionError("a search started a process")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    commands = [
+        ["search", "--group", "4,9", "--H", "1,0"],  # witness in the 2nd of 4 root branches
+        ["certify-nonexist", "--m", "3", "--n", "4", "--budget", "20000"],
+    ]
+    for command in commands:
+        runs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"{command[0]}-{workers}.json"
+            code = main([*command, "--workers", workers, "-o", str(out)])
+            runs.append((code, out.read_bytes()))
+        assert runs[0] == runs[1], command
+        assert runs[0][0] == OK
+
+
 def test_certify_exit_codes():
     r = run_cli("certify-nonexist", "--m", "3", "--n", "2")
     assert r.returncode == NONE
@@ -184,6 +210,64 @@ def test_usage_errors_exit_64():
     assert run_cli("search", "--group", "4", "--H", "2",
                    "--workers", "0").returncode == USAGE
     assert run_cli("verify-starter", "/no/such/file.json").returncode == USAGE
+
+
+def _limit_memory():
+    # 1 GiB of address space: a group that slips past the order check fails
+    # with a MemoryError instead of filling the machine's memory.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "orders, group, H",
+    [([10**12], "1000000000000", "1"), ([10**6, 1000], "1000000,1000", "1,0")],
+)
+def test_group_order_above_the_maximum_exits_64(orders, group, H):
+    starter = json.loads(golden_starter_json())
+    fact = json.loads(run_cli("develop", "-", stdin=golden_starter_json()).stdout)
+    starter["group"]["cyclic_orders"] = fact["group"]["cyclic_orders"] = orders
+    runs = [
+        (["verify-starter", "-"], json.dumps(starter)),
+        (["verify-factorization", "-"], json.dumps(fact)),
+        (["search", "--group", group, "--H", H], None),
+    ]
+    for args, stdin in runs:
+        r = subprocess.run(
+            [sys.executable, "-m", "starfact.cli", *args],
+            input=stdin,
+            capture_output=True,
+            text=True,
+            preexec_fn=_limit_memory,
+        )
+        assert r.returncode == USAGE, (args, r.stderr)
+        assert r.stderr.startswith("bad input: ") and r.stderr.count("\n") == 1
+        assert "exceeds the maximum" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "h_gens, code",
+    [
+        ([[1, 0, 0]], FAIL),
+        ([[0, 1, 0]], FAIL),
+        ([[1, 0, 1]], FAIL),
+        ([[0, 0, 1], [1, 0, 0]], FAIL),
+        ([[0, 0, 0]], USAGE),
+        ([[5, 5, 2]], USAGE),
+    ],
+)
+def test_h_that_disagrees_with_the_sets(h_gens, code):
+    # The p = 5 prime-power starter over Z5 x Z5 x Z2 with H = <(0, 0, 1)>,
+    # checked against another H: a proper nontrivial H fails verification,
+    # and a trivial one is malformed input.
+    payload = starter_payload(construct_prime_power(5, 2))
+    payload["H_generators"] = h_gens
+    r = run_cli("verify-starter", "-", stdin=json.dumps(payload))
+    assert r.returncode == code
+    if code == FAIL:
+        assert json.loads(r.stdout)["passed"] is False
+    else:
+        assert (r.stdout, r.stderr.count("\n")) == ("", 1)
+        assert r.stderr.startswith("bad input: ")
 
 
 def test_invalid_family_parameters_exit_64():

@@ -1,4 +1,4 @@
-"""Exhaustive search, certification, budgets, workers, and the brute-force
+"""Exhaustive search, certification, budgets, and the brute-force
 cross-check."""
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ import time
 
 import pytest
 
-import starfact.search
 from starfact.cayley import build_model
 from starfact.constructions import classify_existence
 from starfact.groups import enumerate_abelian_groups, make_group, subgroups_of_order
@@ -83,12 +82,12 @@ def test_budget_ladder():
 def test_decided_search_skips_later_branches():
     # The witness lies 20 nodes in, inside the second root branch; the
     # fourth branch holds millions of nodes, which a decided search must
-    # never walk, and whose worker a multi-process search must stop.
+    # never walk.
     m = _model([4, 9], [(1, 0)])
     start = time.perf_counter()
-    for budget, workers in ((None, 1), (5_000_000, 1), (None, 2)):
-        out = search_starter(m, budget=budget, workers=workers)
-        assert (out.status, out.nodes_explored) == (FOUND, 20), (budget, workers)
+    for budget in (None, 5_000_000):
+        out = search_starter(m, budget=budget)
+        assert (out.status, out.nodes_explored) == (FOUND, 20), budget
         assert verify_starter(out.witness).passed
     assert time.perf_counter() - start < 5.0
 
@@ -105,71 +104,6 @@ def test_search_depth_has_no_recursion_limit():
         sys.setrecursionlimit(old)
     assert (out.status, out.nodes_explored) == (FOUND, 89)
     assert sum(len(s.edges) for s in out.witness.sets) == 44
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Swap the process pool for one that runs its initializer and its
-    tasks in this process; the list records the sizes asked for."""
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, processes, initializer=None, initargs=()):
-            sizes.append(processes)
-            if initializer is not None:
-                initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, func, tasks):
-            return map(func, tasks)
-
-    monkeypatch.setattr(starfact.search, "Pool", InProcessPool)
-    return sizes
-
-
-def test_pool_is_bounded_by_root_branches(pool_sizes):
-    m = _model([12], [(4,)])  # four root branches
-    base = canonical_json(search_starter(m).payload())
-    for workers in (2, 100_000):
-        assert canonical_json(search_starter(m, workers=workers).payload()) == base
-    assert pool_sizes == [2, 4]
-    for workers in (0, -3):
-        with pytest.raises(ValueError, match="workers"):
-            search_starter(m, workers=workers)
-    assert pool_sizes == [2, 4]
-
-
-def test_workers_reuse_the_parent_search_tables(pool_sizes, monkeypatch):
-    # The parent builds the search tables once and hands them to the pool;
-    # a branch task must not rebuild them.
-    built = []
-
-    class CountingCtx(starfact.search._Ctx):
-        def __init__(self, model):
-            built.append(model)
-            super().__init__(model)
-
-    monkeypatch.setattr(starfact.search, "_Ctx", CountingCtx)
-    m = _model([4, 9], [(1, 0)])  # the witness lies in the second branch
-    out = search_starter(m, workers=2)
-    assert (out.status, out.nodes_explored) == (FOUND, 20)
-    assert pool_sizes == [2]
-    assert len(built) == 1
-
-
-def test_worker_count_does_not_change_results():
-    m = _model([12], [(4,)])
-    base = canonical_json(search_starter(m).payload())
-    for workers in (2, 3):
-        assert canonical_json(search_starter(m, workers=workers).payload()) == base
-    # same determinism under a budget cutoff
-    cut = canonical_json(search_starter(m, budget=4).payload())
-    assert canonical_json(search_starter(m, budget=4, workers=3).payload()) == cut
 
 
 def test_witness_on_z12_order3_parts():
