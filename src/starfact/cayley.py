@@ -64,6 +64,14 @@ class CayleyModel:
     def edge_unchecked(self, u: int, v: int) -> Edge:
         """Canonical edge without the legality check; verifiers use this so
         that malformed input is reported rather than thrown."""
+        u, v = self.pair(u, v)
+        kind = SHORT if self.group.difference(u, v) in self.group.involutions else LONG
+        return Edge(u, v, kind)
+
+    def pair(self, u: int, v: int) -> tuple[int, int]:
+        """(u, v) in ascending order, after the index checks every edge read
+        from input passes: each an exact int in range, and u != v.  A
+        factorization edge is such a pair; its kind is never needed."""
         for x in (u, v):
             if type(x) is not int:  # exactly int: no bool, float or str
                 raise ValueError(f"vertex index must be an integer, got {x!r}")
@@ -71,10 +79,7 @@ class CayleyModel:
                 raise ValueError("vertex index out of range")
         if u == v:
             raise ValueError(f"degenerate edge at {self.group.elements()[u]}")
-        if v < u:
-            u, v = v, u
-        kind = SHORT if self.group.difference(u, v) in self.group.involutions else LONG
-        return Edge(u, v, kind)
+        return (u, v) if u < v else (v, u)
 
     def edge_difference(self, e: Edge) -> frozenset[int]:
         """{u-v, v-u} for a long edge, the single involution for a short one."""
@@ -139,6 +144,12 @@ def build_model(group: AbelianGroup, H: Subgroup) -> CayleyModel:
 
 def export_edge_list(model: CayleyModel) -> str:
     """Plain-text edge list: one 'i j' line of vertex indices per edge,
-    ascending."""
-    lines = [f"{e.u} {e.v}" for e in model.all_edges]
+    ascending; the same pairs as all_edges, read off the coset index."""
+    coset = model.H.coset_of
+    order = model.group.order
+    names = [str(v) for v in range(order)]
+    lines = []
+    for u, cu in enumerate(coset):
+        head = names[u] + " "
+        lines.extend([head + names[v] for v in range(u + 1, order) if coset[v] != cu])
     return "\n".join(lines) + "\n"

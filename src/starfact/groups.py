@@ -146,8 +146,16 @@ class AbelianGroup:
         return self._per_coordinate([[-x % n for x in range(n)] for n in self.cyclic_orders])
 
     def difference(self, u: int, v: int) -> int:
-        """Vertex index of u - v."""
-        return self.vertex_index(self.sub(self._elements[u], self._elements[v]))
+        """Vertex index of u - v, by subtracting the mixed-radix digits of
+        the two indices, least significant factor first."""
+        out = 0
+        place = 1
+        for n in reversed(self.cyclic_orders):
+            u, a = divmod(u, n)
+            v, b = divmod(v, n)
+            out += (a - b) % n * place
+            place *= n
+        return out
 
     def subgroup(self, generators) -> Subgroup:
         return subgroup_from_generators(self, generators)

@@ -463,8 +463,9 @@ def brute_force_factorizations(
     rec = rec_invariant if require_invariance else rec_plain
     rec((1 << ne) - 1, [])
 
+    pairs = [(e.u, e.v) for e in edges]
     built = []
     for stack in witnesses:
-        factors = tuple(sorted(tuple(sorted(edges[i] for i in m)) for m in stack))
+        factors = tuple(sorted(tuple(sorted(pairs[i] for i in m)) for m in stack))
         built.append(OneFactorization(model, factors))
     return BruteForceResult(count, tuple(built), exhausted)

@@ -1,13 +1,16 @@
 """JSON wire formats for groups, starters, and factorizations.
 
-All emitters go through canonical_json so repeated single-worker runs
-produce byte-identical artifacts.  Starter edges are written in coordinates
-and factorization edges as vertex indices; the starter format converts here.
+Every artifact is written by canonical_json, whose text is byte for byte
+that of json.dumps(payload, indent=2, sort_keys=True) plus a newline, so
+identical inputs give identical files.  Starter edges are written in
+coordinates and factorization edges as [u, v] vertex-index pairs; the
+starter format converts here.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .cayley import build_model
 from .groups import AbelianGroup, Subgroup, make_group, subgroup_from_generators
@@ -26,8 +29,64 @@ __all__ = [
 _STARTER_CORE_KEYS = {"group", "H_generators", "sets"}
 
 
+class _Unhandled(Exception):
+    """A value _encode leaves to json.dumps."""
+
+
 def canonical_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """json.dumps(payload, indent=2, sort_keys=True) + "\n", byte for byte.
+
+    The indenting encoder of json is pure Python, one generator step per
+    value.  _encode writes the same text but joins a list of ints, or a
+    list of int lists (a factor), in one step.  It knows str-keyed dicts,
+    lists, tuples, str, int, float, bool and None; a payload holding any
+    other value, a subclass of one of these included, goes to json.dumps
+    whole, as does one nested too deep to recurse, so its text or its
+    error is the json module's."""
+    try:
+        return _encode(payload, "\n") + "\n"
+    except (_Unhandled, RecursionError):
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _encode(x, newline: str) -> str:
+    """x as json.dumps(x, indent=2, sort_keys=True) writes it at the depth
+    whose line break plus indent is newline."""
+    kind = type(x)
+    if kind is list or kind is tuple:
+        if not x:
+            return "[]"
+        inner = newline + "  "
+        sep = "," + inner
+        types = set(map(type, x))
+        if types == {int}:
+            body = sep.join(map(str, x))
+        elif (
+            types == {list}
+            and x[0]
+            and len(set(map(len, x))) == 1
+            and set(map(type, chain.from_iterable(x))) == {int}
+        ):
+            # Int lists of one length share one template: a factor's edges.
+            deeper = inner + "  "
+            line = "[" + deeper + ("," + deeper).join(["%d"] * len(x[0])) + inner + "]"
+            body = sep.join(map(line.__mod__, map(tuple, x)))
+        else:
+            body = sep.join([_encode(e, inner) for e in x])
+        return "[" + inner + body + newline + "]"
+    if kind is dict:
+        if not x:
+            return "{}"
+        if set(map(type, x)) != {str}:
+            raise _Unhandled
+        inner = newline + "  "
+        items = [json.dumps(k) + ": " + _encode(x[k], inner) for k in sorted(x)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is int:
+        return str(x)
+    if kind is str or kind is float or kind is bool or x is None:
+        return json.dumps(x)
+    raise _Unhandled
 
 
 def group_payload(group: AbelianGroup) -> dict:
@@ -80,15 +139,27 @@ def factorization_payload(fact: OneFactorization) -> dict:
     return {
         "group": group_payload(fact.model.group),
         "H_generators": _gens_payload(fact.model.H),
-        "factors": [[[e.u, e.v] for e in factor] for factor in fact.factors],
+        "factors": [[[u, v] for u, v in factor] for factor in fact.factors],
     }
 
 
 def factorization_from_payload(payload: dict) -> OneFactorization:
+    """Each edge passes the index checks of CayleyModel.pair, in input
+    order, and becomes an ascending (u, v) pair; legality is left to
+    verify_factorization, which reports it."""
     group = group_from_payload(payload["group"])
     H = subgroup_from_generators(group, payload["H_generators"])
     model = build_model(group, H)
+    order = group.order
     factors = []
     for raw in payload["factors"]:
-        factors.append(tuple(sorted(model.edge_unchecked(i, j) for i, j in raw)))
+        pairs = []
+        for u, v in raw:
+            # pair's checks, inlined for the common case; pair itself runs
+            # on a failing edge and raises its message.
+            if type(u) is int and type(v) is int and u != v and 0 <= u < order and 0 <= v < order:
+                pairs.append((u, v) if u < v else (v, u))
+            else:
+                pairs.append(model.pair(u, v))
+        factors.append(tuple(sorted(pairs)))
     return OneFactorization(model, tuple(sorted(factors)))

@@ -12,12 +12,19 @@ H_1..H_k satisfying three conditions:
 Developing a valid starter (translating each S_i by H_i and then by the
 whole group) yields a one-factorization left invariant by every
 translation.
+
+Starter edges are Edge objects, whose kind the conditions read.  A
+one-factorization's factors are sorted tuples of (u, v) vertex-index pairs
+with u < v: develop, verify and invariance translate and count plain pairs
+through the group's translation rows, naming a pair by the code
+u * order + v where it must be sorted or looked up.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .cayley import SHORT, CayleyModel, Edge
 from .groups import Subgroup
@@ -53,10 +60,12 @@ class Starter:
 
 @dataclass(frozen=True)
 class OneFactorization:
-    """Factors are tuples of edges, each factor sorted, factors sorted."""
+    """Each factor is a sorted tuple of (u, v) vertex-index pairs with
+    u < v, and the factors are sorted.  A pair carries no edge kind: the
+    kind is a function of (u, v), and no factor consumer reads it."""
 
     model: CayleyModel
-    factors: tuple[tuple[Edge, ...], ...]
+    factors: tuple[tuple[tuple[int, int], ...], ...]
 
 
 @dataclass
@@ -175,6 +184,18 @@ def verify_starter(starter: Starter) -> VerificationReport:
     return VerificationReport(c1.ok and c2.ok and c3.ok, c1, c2, c3)
 
 
+def _codes(a, b, order: int) -> tuple[int, ...]:
+    """The pairs zip(a, b), each named by its code u * order + v with
+    u < v, in ascending order: the order of the (u, v) pairs themselves."""
+    return tuple(sorted([x * order + y if x < y else y * order + x for x, y in zip(a, b)]))
+
+
+def _moved(us, vs, row, order: int) -> tuple[int, ...]:
+    """Codes of the pairs (us[i], vs[i]) moved by row, ascending."""
+    get = row.__getitem__
+    return _codes(map(get, us), map(get, vs), order)
+
+
 def develop_factorization(starter: Starter) -> OneFactorization:
     """Translate each set by its companion, then by coset representatives,
     deduplicate factors as edge sets, and order them lexicographically."""
@@ -182,18 +203,26 @@ def develop_factorization(starter: Starter) -> OneFactorization:
     if not report.passed:
         raise InvalidStarterError(report)
     model = starter.model
+    order = model.group.order
     rows = model.group.translation
-    seen: dict[tuple[Edge, ...], None] = {}
+    seen: dict[tuple[int, ...], None] = {}
     for sset in starter.sets:
         members = [h for h, c in enumerate(sset.subgroup.coset_of) if c == 0]
-        base = {model.translate_edge(e, rows(h)) for h in members for e in sset.edges}
+        base = set()
+        for e in sset.edges:
+            # u + h is rows(u)[h], so one pass moves the edge by every member.
+            at_u, at_v = rows(e.u).__getitem__, rows(e.v).__getitem__
+            base.update(_codes(map(at_u, members), map(at_v, members), order))
+        base = sorted(base)
+        us = [c // order for c in base]
+        vs = [c % order for c in base]
         # Translating by one representative per coset of the companion
         # already reaches every distinct translate of the base factor.
         for r in sset.subgroup.coset_reps:
-            row = rows(r)
-            factor = tuple(sorted(model.translate_edge(e, row) for e in base))
-            seen.setdefault(factor, None)
-    return OneFactorization(model, tuple(sorted(seen)))
+            seen.setdefault(_moved(us, vs, rows(r), order), None)
+    # Codes sort as their pairs do, so sorting the codes sorts the factors.
+    factors = tuple(tuple(map(divmod, codes, repeat(order))) for codes in sorted(seen))
+    return OneFactorization(model, factors)
 
 
 def verify_factorization(model: CayleyModel, fact: OneFactorization) -> VerificationReport:
@@ -203,21 +232,25 @@ def verify_factorization(model: CayleyModel, fact: OneFactorization) -> Verifica
     c2 = ConditionVerdict("factors partition the edge set")
     c3 = ConditionVerdict("factor count equals mn - n")
     group = model.group
+    order = group.order
     el = group.elements()
     coset = model.H.coset_of
     edge_counts: Counter[tuple[int, int]] = Counter()
     for fi, factor in enumerate(fact.factors):
-        covered: Counter[int] = Counter()
-        for e in factor:
-            if coset[e.u] == coset[e.v]:
-                d = el[group.difference(e.u, e.v)]
-                c1.fail(f"factor {fi}: illegal edge {el[e.u]}~{el[e.v]} (difference {d} in H)")
-            covered[e.u] += 1
-            covered[e.v] += 1
-            edge_counts[(e.u, e.v)] += 1
-        bad = [el[v] for v in range(group.order) if covered[v] != 1]
-        if bad:
-            c1.fail(f"factor {fi}: vertices covered != once: {bad[:4]}{'...' if len(bad) > 4 else ''}")
+        for u, v in factor:
+            if coset[u] == coset[v]:
+                d = el[group.difference(u, v)]
+                c1.fail(f"factor {fi}: illegal edge {el[u]}~{el[v]} (difference {d} in H)")
+        ends = [x for pair in factor for x in pair]
+        # Every vertex is covered once exactly when there are order ends,
+        # all distinct; only a failing factor is counted vertex by vertex.
+        if len(ends) != order or len(set(ends)) != order:
+            covered = Counter(ends)
+            bad = [el[v] for v in range(order) if covered[v] != 1]
+            if bad:
+                more = "..." if len(bad) > 4 else ""
+                c1.fail(f"factor {fi}: vertices covered != once: {bad[:4]}{more}")
+        edge_counts.update(factor)
     dups = {e: c for e, c in edge_counts.items() if c > 1}
     if dups:
         some = [(el[u], el[v]) for u, v in sorted(dups)[:4]]
@@ -237,15 +270,17 @@ def check_invariance(model: CayleyModel, fact: OneFactorization, exhaustive: boo
     factor.  Checking the standard generators suffices because translations
     compose; exhaustive=True checks every group element anyway."""
     group = model.group
-    keys = {factor: None for factor in fact.factors}
+    order = group.order
+    keys = {tuple(u * order + v for u, v in factor) for factor in fact.factors}
     if exhaustive:
         shifts = range(1, group.order)  # every element but the identity, 0
     else:
         shifts = [group.vertex_index(g) for g in group.full_subgroup().generators]
     rows = [group.translation(g) for g in shifts]
     for factor in fact.factors:
+        us = [u for u, _ in factor]
+        vs = [v for _, v in factor]
         for row in rows:
-            moved = tuple(sorted(model.translate_edge(e, row) for e in factor))
-            if moved not in keys:
+            if _moved(us, vs, row, order) not in keys:
                 return False
     return True

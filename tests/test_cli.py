@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import multiprocessing.process
 import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -16,8 +18,13 @@ from starfact.cayley import build_model
 from starfact.cli import main
 from starfact.constructions import ConstructionError, complete_via_index2, construct_prime_power
 from starfact.groups import make_group
-from starfact.serialize import canonical_json, starter_from_payload, starter_payload
-from starfact.starters import Starter, StarterSet
+from starfact.serialize import (
+    canonical_json,
+    factorization_payload,
+    starter_from_payload,
+    starter_payload,
+)
+from starfact.starters import Starter, StarterSet, develop_factorization
 
 OK, FAIL, NONE, BUDGET, USAGE = 0, 1, 2, 3, 64
 
@@ -439,3 +446,70 @@ def test_messages_print_coordinates_on_a_noncyclic_group():
 def test_star_import_resolves_every_exported_name():
     # a name left in __all__ after its definition is gone fails here
     exec("from starfact import *", {})
+
+
+def test_p13_pipeline_artifacts_are_pinned(tmp_path):
+    # The four artifacts of the p = 13 pipeline, pinned by the sha256
+    # recorded while factors were still Edge objects written by json.dumps.
+    start = time.perf_counter()
+    starter, edges, fact, report = (tmp_path / name for name in (
+        "starter.json", "edges.txt", "fact.json", "report.json"))
+    commands = [
+        ["construct", "--family", "prime-power", "--p", "13", "--v", "2",
+         "--emit-edges", str(edges), "-o", str(starter)],
+        ["develop", str(starter), "-o", str(fact)],
+        ["verify-factorization", str(fact), "--invariance", "-o", str(report)],
+    ]
+    for command in commands:
+        r = run_cli(*command)
+        assert r.returncode == OK, r.stderr
+    elapsed = time.perf_counter() - start
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (starter, edges, fact, report)
+    }
+    assert digests == {
+        "starter.json": "229d4afa5e117ea11007191aeed4c80957eef79ec774e5949bd5b6146c29e5ca",
+        "edges.txt": "668b681d533a8e423ad9a7e8aa8772869138f7105739f675c8e2d99a2851e4e2",
+        "fact.json": "e012b1dd86636a3239680ef56c6d527a37478cc60addbe2a989f1e0249c337d1",
+        "report.json": "0d8c97bd29263a1faa6383aaa73d70a651d187ec39e36d3dc625140fb367d7f7",
+    }
+    assert elapsed < 30.0, f"{elapsed:.2f}s"
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("factors", 0, 0, 1), 12, "vertex index out of range"),
+        (("factors", 0, 0, 0), -1, "vertex index out of range"),
+        (("factors", 0, 0), [3, 3], "degenerate edge at (0, 3)"),
+        (("factors", 3, 2), [11, 11], "degenerate edge at (1, 5)"),
+        (("factors", 0, 0), [0, 1, 2], "too many values to unpack (expected 2)"),
+        (("factors", 0, 0), [0], "not enough values to unpack (expected 2, got 1)"),
+        (("factors", 0, 0), 5, "cannot unpack non-iterable int object"),
+        (("factors", 0), 7, "'int' object is not iterable"),
+        (("factors",), _MISSING, "'factors'"),
+        # The first check to fail, in input order, names the fault.
+        (("factors", 0, 0), [99, 1.5], "vertex index out of range"),
+        (("factors", 0), [[0, 1.5], [0, 1, 2]], "vertex index must be an integer, got 1.5"),
+        (("factors", 0), [[0, 1, 2], [0, 1.5]], "too many values to unpack (expected 2)"),
+    ],
+)
+def test_malformed_factorization_exits_64(tmp_path, capsys, path, value, message):
+    # The developed Z2 x Z6 factorization with one fault; each message was
+    # recorded while the loader still built Edge objects.
+    payload = factorization_payload(develop_factorization(starter_from_payload(_Z2Z6)))
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    if value is _MISSING:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    fact = tmp_path / "fact.json"
+    fact.write_text(json.dumps(payload))
+    for extra in ([], ["--invariance"]):
+        assert main(["verify-factorization", str(fact), *extra]) == USAGE
+        assert capsys.readouterr() == ("", f"bad input: {message}\n")

@@ -93,8 +93,7 @@ def test_short_edge_companion_membership():
 
 def test_develop_golden():
     fact = develop_factorization(_golden_starter())
-    shaped = [[(e.u, e.v) for e in f] for f in fact.factors]
-    assert shaped == [[(0, 1), (2, 3)], [(0, 3), (1, 2)]]
+    assert fact.factors == (((0, 1), (2, 3)), ((0, 3), (1, 2)))
     report = verify_factorization(fact.model, fact)
     assert report.passed
     assert check_invariance(fact.model, fact)
@@ -136,7 +135,7 @@ def test_verify_factorization_failures():
 
 def test_non_invariant_factor_set_detected():
     m = _model([4], [(2,)])
-    lone = tuple(sorted([m.edge(0, 1), m.edge(2, 3)]))
+    lone = tuple(sorted((e.u, e.v) for e in (m.edge(0, 1), m.edge(2, 3))))
     fact = OneFactorization(m, (lone,))
     assert not check_invariance(m, fact)
     assert not check_invariance(m, fact, exhaustive=True)
