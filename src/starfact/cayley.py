@@ -72,10 +72,11 @@ class CayleyModel:
         """(u, v) in ascending order, after the index checks every edge read
         from input passes: each an exact int in range, and u != v.  A
         factorization edge is such a pair; its kind is never needed."""
+        order = self.group.order
         for x in (u, v):
             if type(x) is not int:  # exactly int: no bool, float or str
                 raise ValueError(f"vertex index must be an integer, got {x!r}")
-            if not 0 <= x < self.group.order:
+            if not 0 <= x < order:
                 raise ValueError("vertex index out of range")
         if u == v:
             raise ValueError(f"degenerate edge at {self.group.elements()[u]}")
@@ -106,21 +107,26 @@ class CayleyModel:
             u, v = v, u
         return Edge(u, v, e.kind)
 
-    @cached_property
-    def all_edges(self) -> tuple[Edge, ...]:
-        """Every pair of vertices in different parts, ascending.  The short
-        edges are {x, x + t} for the involutions t in Omega."""
+    def neighbours_above(self):
+        """(u, [v > u in another part]) for each vertex u in turn: every
+        edge of the graph once, in ascending (u, v) order."""
         order = self.group.order
         coset = self.H.coset_of
+        for u, cu in enumerate(coset):
+            yield u, [v for v in range(u + 1, order) if coset[v] != cu]
+
+    @cached_property
+    def all_edges(self) -> tuple[Edge, ...]:
+        """Every edge, ascending (neighbours_above).  The short edges are
+        {x, x + t} for the involutions t in Omega."""
         short = set()
         for t in self.omega & self.group.involutions:
             row = self.group.translation(t)
             short.update((x, y) for x, y in enumerate(row) if x < y)
         return tuple(
             Edge(u, v, SHORT if (u, v) in short else LONG)
-            for u in range(order)
-            for v in range(u + 1, order)
-            if coset[u] != coset[v]
+            for u, above in self.neighbours_above()
+            for v in above
         )
 
 
@@ -144,12 +150,10 @@ def build_model(group: AbelianGroup, H: Subgroup) -> CayleyModel:
 
 def export_edge_list(model: CayleyModel) -> str:
     """Plain-text edge list: one 'i j' line of vertex indices per edge,
-    ascending; the same pairs as all_edges, read off the coset index."""
-    coset = model.H.coset_of
-    order = model.group.order
-    names = [str(v) for v in range(order)]
+    ascending; the pairs of all_edges without building Edge objects."""
+    names = [str(v) for v in range(model.group.order)]
     lines = []
-    for u, cu in enumerate(coset):
+    for u, above in model.neighbours_above():
         head = names[u] + " "
-        lines.extend([head + names[v] for v in range(u + 1, order) if coset[v] != cu])
+        lines.extend([head + names[v] for v in above])
     return "\n".join(lines) + "\n"

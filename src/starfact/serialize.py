@@ -150,16 +150,6 @@ def factorization_from_payload(payload: dict) -> OneFactorization:
     group = group_from_payload(payload["group"])
     H = subgroup_from_generators(group, payload["H_generators"])
     model = build_model(group, H)
-    order = group.order
-    factors = []
-    for raw in payload["factors"]:
-        pairs = []
-        for u, v in raw:
-            # pair's checks, inlined for the common case; pair itself runs
-            # on a failing edge and raises its message.
-            if type(u) is int and type(v) is int and u != v and 0 <= u < order and 0 <= v < order:
-                pairs.append((u, v) if u < v else (v, u))
-            else:
-                pairs.append(model.pair(u, v))
-        factors.append(tuple(sorted(pairs)))
+    pair = model.pair
+    factors = [tuple(sorted([pair(u, v) for u, v in raw])) for raw in payload["factors"]]
     return OneFactorization(model, tuple(sorted(factors)))

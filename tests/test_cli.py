@@ -479,6 +479,19 @@ def test_p13_pipeline_artifacts_are_pinned(tmp_path):
 _MISSING = object()
 
 
+def _unpack_error(factors):
+    """The interpreter's own message for a factor list whose shape does not
+    unpack into (u, v) edges.  Its wording differs between Python versions,
+    so it is taken from the running interpreter rather than pinned."""
+    try:
+        for factor in factors:
+            for _u, _v in factor:
+                pass
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    raise AssertionError("the shape unpacks")
+
+
 @pytest.mark.parametrize(
     "path, value, message",
     [
@@ -486,20 +499,21 @@ _MISSING = object()
         (("factors", 0, 0, 0), -1, "vertex index out of range"),
         (("factors", 0, 0), [3, 3], "degenerate edge at (0, 3)"),
         (("factors", 3, 2), [11, 11], "degenerate edge at (1, 5)"),
-        (("factors", 0, 0), [0, 1, 2], "too many values to unpack (expected 2)"),
-        (("factors", 0, 0), [0], "not enough values to unpack (expected 2, got 1)"),
-        (("factors", 0, 0), 5, "cannot unpack non-iterable int object"),
-        (("factors", 0), 7, "'int' object is not iterable"),
+        (("factors", 0, 0), [0, 1, 2], _unpack_error([[[0, 1, 2]]])),
+        (("factors", 0, 0), [0], _unpack_error([[[0]]])),
+        (("factors", 0, 0), 5, _unpack_error([[5]])),
+        (("factors", 0), 7, _unpack_error([7])),
         (("factors",), _MISSING, "'factors'"),
         # The first check to fail, in input order, names the fault.
         (("factors", 0, 0), [99, 1.5], "vertex index out of range"),
         (("factors", 0), [[0, 1.5], [0, 1, 2]], "vertex index must be an integer, got 1.5"),
-        (("factors", 0), [[0, 1, 2], [0, 1.5]], "too many values to unpack (expected 2)"),
+        (("factors", 0), [[0, 1, 2], [0, 1.5]], _unpack_error([[[0, 1, 2]]])),
     ],
 )
 def test_malformed_factorization_exits_64(tmp_path, capsys, path, value, message):
-    # The developed Z2 x Z6 factorization with one fault; each message was
-    # recorded while the loader still built Edge objects.
+    # The developed Z2 x Z6 factorization with one fault; each message the
+    # program writes itself was recorded while the loader still built Edge
+    # objects.
     payload = factorization_payload(develop_factorization(starter_from_payload(_Z2Z6)))
     target = payload
     for key in path[:-1]:
