@@ -85,7 +85,7 @@ class CayleyModel:
     def edge_difference(self, e: Edge) -> frozenset[int]:
         """{u-v, v-u} for a long edge, the single involution for a short one."""
         d = self.group.difference(e.u, e.v)
-        if self.H.coset_of[d] == 0:
+        if d in self.H.elements:
             el = self.group.elements()
             raise ValueError(f"illegal edge {el[e.u]} ~ {el[e.v]}: difference {el[d]} lies in H")
         return frozenset({d, self.group.negs[d]})
@@ -138,7 +138,7 @@ def build_model(group: AbelianGroup, H: Subgroup) -> CayleyModel:
         raise ValueError("H must have order at least 2 (parts of size >= 2)")
     if H.order >= group.order:
         raise ValueError("H must be a proper subgroup")
-    omega = frozenset(d for d, c in enumerate(H.coset_of) if c)
+    omega = frozenset(range(group.order)) - H.elements
     return CayleyModel(
         group=group,
         H=H,

@@ -284,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         default="first",
         choices=("first", "exhaust", "all"),
-        help="stop at the first witness, certify emptiness, or enumerate all",
+        help="stop at the first witness, certify emptiness, or enumerate all"
+        " (all keeps every witness in memory: bound it with --budget)",
     )
     p.add_argument("--budget", type=int, help="node budget (default unlimited)")
     _add_workers(p)

@@ -186,7 +186,7 @@ def _partial_report(model: CayleyModel, sets, A: Subgroup) -> tuple[list[int], l
     problems += check_coset_transversals(model, sets).violations
     problems += check_short_edge_membership(model, sets).violations
     uncovered = sorted(d for d in model.omega if d not in counts)
-    inside = [el[d] for d in uncovered if A.coset_of[d] == 0]
+    inside = [el[d] for d in uncovered if d in A.elements]
     if inside:
         problems.append(f"uncovered differences inside the index-2 subgroup: {inside[:6]}")
     return uncovered, problems

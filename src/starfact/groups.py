@@ -2,9 +2,10 @@
 
 Elements are coordinate tuples reduced modulo the per-factor orders, and
 each is named by its vertex index, its mixed-radix (lexicographic) rank; the
-package works on indices, with coordinates only in generators, subgroup
-elements, starter JSON and messages.  Every set-valued result comes back in
-lexicographic order so that downstream output is reproducible byte for byte.
+package works on indices, subgroup elements included, with coordinates only
+in generators, starter JSON and messages.  Index order is lexicographic
+coordinate order, so every set-valued result, sorted by index, comes back in
+the same order at every run and output is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, prod
+from math import prod
 
 Element = tuple[int, ...]
 
@@ -62,9 +63,6 @@ class AbelianGroup:
     def rank(self) -> int:
         return len(self.cyclic_orders)
 
-    def identity(self) -> Element:
-        return (0,) * len(self.cyclic_orders)
-
     def element(self, coords) -> Element:
         """Reduce a sequence of integer coordinates into the group."""
         coords = tuple(coords)
@@ -84,43 +82,20 @@ class AbelianGroup:
         """All group elements in lexicographic order."""
         return self._elements
 
-    def add(self, a: Element, b: Element) -> Element:
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.cyclic_orders))
-
-    def neg(self, a: Element) -> Element:
-        return tuple((-x) % n for x, n in zip(a, self.cyclic_orders))
-
-    def sub(self, a: Element, b: Element) -> Element:
-        return tuple((x - y) % n for x, y, n in zip(a, b, self.cyclic_orders))
-
-    def scale(self, k: int, a: Element) -> Element:
-        return tuple((k * x) % n for x, n in zip(a, self.cyclic_orders))
-
-    def element_order(self, a: Element) -> int:
-        """Order of a, the lcm of the per-coordinate orders n_i / gcd(n_i, a_i)."""
-        out = 1
-        for x, n in zip(a, self.cyclic_orders):
-            o = n // gcd(n, x)
-            out = out * o // gcd(out, o)
-        return out
-
     @cached_property
     def involutions(self) -> frozenset[int]:
         """Vertex indices of the elements of order exactly 2.  There are
         2^s - 1 of them, where s counts the even cyclic factors."""
         return frozenset(x for x, y in enumerate(self.negs) if x == y and x)
 
-    def vertex_index(self, a: Element) -> int:
-        """Mixed-radix index with the first factor most significant."""
-        idx = 0
-        for x, n in zip(a, self.cyclic_orders):
-            idx = idx * n + x
-        return idx
-
     def index_of(self, coords) -> int:
         """Vertex index of a sequence of integer coordinates, reduced as by
-        element; input in coordinates converts here."""
-        return self.vertex_index(self.element(coords))
+        element: the mixed-radix rank with the first factor most
+        significant.  Input in coordinates converts here."""
+        idx = 0
+        for x, n in zip(self.element(coords), self.cyclic_orders):
+            idx = idx * n + x
+        return idx
 
     def _per_coordinate(self, columns) -> list[int]:
         """Vertex indices of the elements whose coordinate i is taken from
@@ -166,7 +141,7 @@ class AbelianGroup:
             g = [0] * len(self.cyclic_orders)
             g[i] = 1
             gens.append(tuple(g))
-        return Subgroup(self, tuple(gens), frozenset(self._elements))
+        return Subgroup(self, tuple(gens), frozenset(range(self.order)))
 
     @cached_property
     def subgroups(self) -> tuple[Subgroup, ...]:
@@ -174,34 +149,26 @@ class AbelianGroup:
         sorted by (order, sorted element list) so the listing is stable.
         <P, g> depends only on g + P, so P is extended by each other coset's
         least element, the one a scan of every element would reach first."""
-        trivial = Subgroup(self, (), frozenset({self.identity()}))
+        trivial = Subgroup(self, (), frozenset({0}))
         found = {trivial.elements: trivial}
         queue = [trivial]
         for sub in queue:  # breadth first: the loop reaches what it appends
             for r in sub.coset_reps[1:]:
-                g = self._elements[r]
-                bigger = _adjoin(self, sub.elements, g)
+                bigger = _adjoin(self, sub.elements, r)
                 if bigger not in found:
-                    found[bigger] = Subgroup(self, sub.generators + (g,), bigger)
+                    found[bigger] = Subgroup(self, sub.generators + (self._elements[r],), bigger)
                     queue.append(found[bigger])
         return tuple(sorted(found.values(), key=lambda s: (s.order, s.sorted_elements)))
-
-    def isomorphism_key(self) -> tuple[tuple[int, int], ...]:
-        """Multiset of prime-power invariants; equal keys mean isomorphic groups."""
-        parts = []
-        for n in self.cyclic_orders:
-            for p, e in factorize(n):
-                parts.append((p, e))
-        return tuple(sorted(parts))
 
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """Subgroup of an AbelianGroup, identified by its element set."""
+    """Subgroup of an AbelianGroup, identified by its element set, a set of
+    vertex indices; the generators stay coordinate tuples."""
 
     group: AbelianGroup
     generators: tuple[Element, ...]
-    elements: frozenset[Element]
+    elements: frozenset[int]
 
     @property
     def order(self) -> int:
@@ -212,21 +179,22 @@ class Subgroup:
         return self.group.order // len(self.elements)
 
     @cached_property
-    def sorted_elements(self) -> tuple[Element, ...]:
+    def sorted_elements(self) -> tuple[int, ...]:
         return tuple(sorted(self.elements))
 
     @cached_property
     def coset_of(self) -> tuple[int, ...]:
         """Coset number of each group element, indexed by vertex index.
         Cosets are numbered in the order of their least elements, so the
-        subgroup itself is coset 0."""
-        group = self.group
-        out = [-1] * group.order
+        subgroup itself is coset 0.  The subgroup is closed under negation,
+        so the coset i + H is {i - h for h in H}."""
+        difference = self.group.difference
+        out = [-1] * self.group.order
         count = 0
-        for i, a in enumerate(group.elements()):
+        for i in range(self.group.order):
             if out[i] < 0:
                 for h in self.elements:
-                    out[group.vertex_index(group.add(a, h))] = count
+                    out[difference(i, h)] = count
                 count += 1
         return tuple(out)
 
@@ -255,23 +223,26 @@ def make_group(cyclic_orders) -> AbelianGroup:
     return AbelianGroup(tuple(cyclic_orders))
 
 
-def _adjoin(group: AbelianGroup, elems: frozenset[Element], g: Element) -> frozenset[Element]:
-    """<elems, g> for a subgroup elems: the cosets elems + kg for k = 0, 1, ...
-    until kg falls back into elems."""
+def _adjoin(group: AbelianGroup, elems: frozenset[int], g: int) -> frozenset[int]:
+    """<elems, g> for a subgroup elems and a vertex index g: the cosets
+    kg + elems, each {kg - h for h in elems}, for k = 0, 1, ... until kg
+    falls back into elems."""
+    difference = group.difference
+    minus_g = group.negs[g]
     out = set(elems)
     x = g
     while x not in elems:
-        out.update(group.add(a, x) for a in elems)
-        x = group.add(x, g)
+        out.update(difference(x, h) for h in elems)
+        x = difference(x, minus_g)
     return frozenset(out)
 
 
 def subgroup_from_generators(group: AbelianGroup, generators) -> Subgroup:
     """Closure of the generators; the empty list gives the trivial subgroup."""
     gens = tuple(group.element(g) for g in generators)
-    elems = frozenset({group.identity()})
+    elems = frozenset({0})
     for g in gens:
-        elems = _adjoin(group, elems, g)
+        elems = _adjoin(group, elems, group.index_of(g))
     return Subgroup(group, gens, elems)
 
 

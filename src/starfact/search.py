@@ -96,8 +96,8 @@ class _Ctx:
 
         self.companions = sorted(group.subgroups, key=lambda s: (-s.order, s.sorted_elements))
         self.comp_index = [s.index for s in self.companions]
-        # A subgroup is the coset of the identity, which is coset 0.
-        self.comp_member = [[c == 0 for c in s.coset_of] for s in self.companions]
+        # A list per companion, since _moves reads it at every node.
+        self.comp_member = [[x in s.elements for x in range(group.order)] for s in self.companions]
         self.comp_invol_omega = [
             sum(1 << i for i in self.omega_ids if i in self.invol and member[i])
             for member in self.comp_member
@@ -256,9 +256,11 @@ def search_starter(
     Modes first and exhaust stop at the first witness and share the
     translation-normalized tree; exhaust is the certification alias, since a
     run that returns none_exists has provably emptied the space.  Mode all
-    keeps going and reports every starter, with no normalization applied.
-    budget limits the number of search-tree nodes, the root included; when
-    it runs out the outcome is budget_exceeded, never a silent none_exists.
+    keeps going and reports every starter, with no normalization applied;
+    it holds every witness in memory with no cap (Z2 x Z6 with H = <(1, 0)>
+    grew past 5.6 GB without a budget), so give it a budget.  budget limits
+    the number of search-tree nodes, the root included; when it runs out
+    the outcome is budget_exceeded, never a silent none_exists.
     The search runs in this process and returns as soon as its outcome is
     decided.
     """

@@ -168,7 +168,7 @@ def check_short_edge_membership(model: CayleyModel, sets) -> ConditionVerdict:
         for e in sset.edges:
             if e.kind == SHORT:
                 d = model.group.difference(e.u, e.v)
-                if sset.subgroup.coset_of[d] != 0:
+                if d not in sset.subgroup.elements:
                     verdict.fail(
                         f"set {i}: short edge {el[e.u]}~{el[e.v]} has difference {el[d]}"
                         " outside its companion subgroup"
@@ -207,7 +207,7 @@ def develop_factorization(starter: Starter) -> OneFactorization:
     rows = model.group.translation
     seen: dict[tuple[int, ...], None] = {}
     for sset in starter.sets:
-        members = [h for h, c in enumerate(sset.subgroup.coset_of) if c == 0]
+        members = sset.subgroup.elements
         base = set()
         for e in sset.edges:
             # u + h is rows(u)[h], so one pass moves the edge by every member.
@@ -275,7 +275,7 @@ def check_invariance(model: CayleyModel, fact: OneFactorization, exhaustive: boo
     if exhaustive:
         shifts = range(1, group.order)  # every element but the identity, 0
     else:
-        shifts = [group.vertex_index(g) for g in group.full_subgroup().generators]
+        shifts = [group.index_of(g) for g in group.full_subgroup().generators]
     rows = [group.translation(g) for g in shifts]
     for factor in fact.factors:
         us = [u for u, _ in factor]

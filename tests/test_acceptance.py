@@ -10,6 +10,7 @@ import random
 import time
 from math import prod
 
+from coords import add, element_order, index, neg
 from starfact.cayley import build_model
 from starfact.constructions import (
     classify_existence,
@@ -192,12 +193,17 @@ def test_criterion_7_algebra_property_suite():
     pool = [2, 3, 4, 5, 6, 7, 8, 9, 12]
     for _ in range(1000):
         g = make_group([rng.choice(pool) for _ in range(rng.randint(1, 3))])
+        o = g.cyclic_orders
         elems = g.elements()
         a, b = rng.choice(elems), rng.choice(elems)
-        assert g.add(a, b) == g.add(b, a)
-        assert g.add(a, g.neg(a)) == g.identity()
-        assert g.order % g.element_order(a) == 0
-        assert elems[g.vertex_index(a)] == a
+        assert add(o, a, b) == add(o, b, a)
+        assert add(o, a, neg(o, a)) == (0,) * g.rank
+        assert g.order % element_order(o, a) == 0
+        assert elems[g.index_of(a)] == a
+        # the index arithmetic agrees with the coordinate oracle
+        x, y = g.index_of(a), g.index_of(b)
+        assert g.translation(y)[x] == g.translation(x)[y] == index(o, add(o, a, b))
+        assert g.negs[x] == index(o, neg(o, a))
     for order in range(2, 129):
         expected = prod(_partition_count(e) for _, e in factorize(order))
         assert len(enumerate_abelian_groups(order)) == expected

@@ -527,3 +527,51 @@ def test_malformed_factorization_exits_64(tmp_path, capsys, path, value, message
     for extra in ([], ["--invariance"]):
         assert main(["verify-factorization", str(fact), *extra]) == USAGE
         assert capsys.readouterr() == ("", f"bad input: {message}\n")
+
+
+def _json_error(text):
+    """The json module's own message for text that does not parse, taken
+    from the running interpreter like _unpack_error's."""
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return str(exc)
+    raise AssertionError("the text parses")
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ((), "{not json", _json_error("{not json")),
+        (("group",), _MISSING, "'group'"),
+        (("H_generators",), _MISSING, "'H_generators'"),
+        (("sets",), _MISSING, "'sets'"),
+        (("sets",), 5, _unpack_error([5])),
+        (("sets", 1, "subgroup_generators"), _MISSING, "'subgroup_generators'"),
+        (("sets", 1, "edges"), _MISSING, "'edges'"),
+        (
+            ("sets", 1, "edges", 1),
+            [[0, 1], [0, 4], [1, 1]],
+            _unpack_error([[[[0, 1], [0, 4], [1, 1]]]]),
+        ),
+        (("sets", 1, "edges", 1, 1), [0, 1.5], "coordinates must be integers, got (0, 1.5)"),
+    ],
+)
+def test_malformed_starter_exits_64(tmp_path, capsys, path, value, message):
+    # The Z2 x Z6 starter with one fault, or text that is not JSON at all
+    # (empty path); every command that loads a starter names the same fault.
+    if path:
+        payload = copy.deepcopy(_Z2Z6)
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        if value is _MISSING:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        value = json.dumps(payload)
+    starter = tmp_path / "starter.json"
+    starter.write_text(value)
+    for command in ("verify-starter", "develop"):
+        assert main([command, str(starter)]) == USAGE
+        assert capsys.readouterr() == ("", f"bad input: {message}\n")

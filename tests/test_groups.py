@@ -9,6 +9,7 @@ from math import prod
 
 import pytest
 
+from coords import add, closure, element_order, index, neg, scale, sub
 from starfact.cli import main
 from starfact.groups import (
     AbelianGroup,
@@ -38,30 +39,33 @@ def test_make_group_rejects_bad_orders():
 def test_element_reduction_and_shape():
     g = make_group([5, 5, 2])
     assert g.element((7, -1, 3)) == (2, 4, 1)
-    assert g.identity() == (0, 0, 0)
+    assert g.elements()[0] == (0, 0, 0)  # vertex 0 is the identity
     with pytest.raises(ValueError):
         g.element((1, 2))
 
 
 def test_arithmetic_examples():
     g = make_group([5, 5, 2])
-    assert g.add((4, 3, 1), (2, 4, 1)) == (1, 2, 0)
-    assert g.neg((1, 0, 1)) == (4, 0, 1)
-    assert g.sub((0, 0, 0), (2, 3, 1)) == (3, 2, 1)
-    assert g.scale(3, (2, 1, 1)) == (1, 3, 1)
+    o = g.cyclic_orders
+    assert add(o, (4, 3, 1), (2, 4, 1)) == (1, 2, 0)
+    assert neg(o, (1, 0, 1)) == (4, 0, 1)
+    assert sub(o, (0, 0, 0), (2, 3, 1)) == (3, 2, 1)
+    assert scale(o, 3, (2, 1, 1)) == (1, 3, 1)
+    # the same sums on vertex indices
+    i = g.index_of
+    assert g.translation(i((2, 4, 1)))[i((4, 3, 1))] == i((1, 2, 0))
+    assert g.negs[i((1, 0, 1))] == i((4, 0, 1))
+    assert g.difference(i((0, 0, 0)), i((2, 3, 1))) == i((3, 2, 1))
 
 
 def test_element_order():
-    g = make_group([12])
-    assert g.element_order((4,)) == 3
-    assert g.element_order((6,)) == 2
-    assert g.element_order((1,)) == 12
-    assert g.element_order((0,)) == 1
-    h = make_group([2, 2])
-    assert h.element_order((1, 1)) == 2
-    k = make_group([4, 6])
-    assert k.element_order((2, 3)) == 2
-    assert k.element_order((1, 2)) == 12
+    assert element_order((12,), (4,)) == 3
+    assert element_order((12,), (6,)) == 2
+    assert element_order((12,), (1,)) == 12
+    assert element_order((12,), (0,)) == 1
+    assert element_order((2, 2), (1, 1)) == 2
+    assert element_order((4, 6), (2, 3)) == 2
+    assert element_order((4, 6), (1, 2)) == 12
 
 
 def test_involutions():
@@ -69,7 +73,7 @@ def test_involutions():
     assert make_group([4]).involutions == frozenset({2})
     g = make_group([2, 2, 3])
     assert g.involutions == frozenset(
-        g.vertex_index(a) for a in [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
+        g.index_of(a) for a in [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
     )
     # 2^s - 1 of them, s = number of even factors
     assert len(make_group([4, 2]).involutions) == 3
@@ -78,20 +82,20 @@ def test_involutions():
 
 def test_vertex_indexing_roundtrip():
     g = make_group([5, 5, 2])
-    assert g.vertex_index((1, 2, 1)) == 15
+    assert g.index_of((1, 2, 1)) == 15
     assert g.elements()[15] == (1, 2, 1)
     for i, a in enumerate(g.elements()):
-        assert g.vertex_index(a) == i
+        assert g.index_of(a) == i
+        assert index(g.cyclic_orders, a) == i
     # index arithmetic agrees with the coordinate arithmetic
     for orders in ([5, 5, 2], [12], [2, 2, 3], [4, 6]):
         g = make_group(orders)
         el = g.elements()
-        index = g.vertex_index
         for x, a in enumerate(el):
-            assert g.negs[x] == index(g.neg(a))
+            assert g.negs[x] == index(orders, neg(orders, a))
             for y, b in enumerate(el):
-                assert g.translation(y)[x] == index(g.add(a, b))
-                assert g.difference(x, y) == index(g.sub(a, b))
+                assert g.translation(y)[x] == index(orders, add(orders, a, b))
+                assert g.difference(x, y) == index(orders, sub(orders, a, b))
 
 
 def test_elements_are_sorted_and_complete():
@@ -104,15 +108,16 @@ def test_elements_are_sorted_and_complete():
 def test_subgroup_closure():
     g = make_group([4])
     s = g.subgroup([(2,)])
-    assert s.elements == frozenset({(0,), (2,)})
+    assert s.elements == frozenset({0, 2})
     assert s.order == 2
     assert s.index == 2
     g12 = make_group([12])
-    assert g12.subgroup([(4,)]).elements == frozenset({(0,), (4,), (8,)})
+    assert g12.subgroup([(4,)]).elements == frozenset({0, 4, 8})
     assert g12.subgroup([]).order == 1
     assert g12.full_subgroup().order == 12
     h = make_group([2, 2])
     assert h.subgroup([(1, 0), (0, 1)]).order == 4
+    assert h.subgroup([(1, 1)]).elements == frozenset({0, 3})  # (0, 0) and (1, 1)
 
 
 def test_cosets_are_lex_least_reps():
@@ -227,7 +232,10 @@ def test_enumeration_matches_partition_product_oracle():
         groups = enumerate_abelian_groups(order)
         expected = prod(_partition_count(e) for _, e in factorize(order))
         assert len(groups) == expected, order
-        keys = {g.isomorphism_key() for g in groups}
+        # equal multisets of prime-power invariants mean isomorphic groups
+        keys = {
+            tuple(sorted(pe for n in g.cyclic_orders for pe in factorize(n))) for g in groups
+        }
         assert len(keys) == len(groups), order
         for g in groups:
             assert g.order == order
@@ -253,38 +261,55 @@ def test_arithmetic_properties_random_sweep():
     rng = random.Random(20259)
     for _ in range(1000):
         g = _random_group(rng)
+        o = g.cyclic_orders
+        zero = (0,) * g.rank
         elems = g.elements()
         a = rng.choice(elems)
         b = rng.choice(elems)
         c = rng.choice(elems)
-        assert g.add(a, b) == g.add(b, a)
-        assert g.add(g.add(a, b), c) == g.add(a, g.add(b, c))
-        assert g.add(a, g.neg(a)) == g.identity()
-        assert g.sub(a, b) == g.add(a, g.neg(b))
+        assert add(o, a, b) == add(o, b, a)
+        assert add(o, add(o, a, b), c) == add(o, a, add(o, b, c))
+        assert add(o, a, neg(o, a)) == zero
+        assert sub(o, a, b) == add(o, a, neg(o, b))
         k = rng.randint(0, 7)
-        acc = g.identity()
+        acc = zero
         for _ in range(k):
-            acc = g.add(acc, a)
-        assert g.scale(k, a) == acc
-        assert g.scale(-1, a) == g.neg(a)
-        assert g.order % g.element_order(a) == 0
+            acc = add(o, acc, a)
+        assert scale(o, k, a) == acc
+        assert scale(o, -1, a) == neg(o, a)
+        assert g.order % element_order(o, a) == 0
+        # the same laws on vertex indices, each sum checked against the oracle
+        x, y, z = g.index_of(a), g.index_of(b), g.index_of(c)
+        plus = g.translation
+        assert plus(y)[x] == plus(x)[y] == index(o, add(o, a, b))
+        assert plus(z)[plus(y)[x]] == plus(plus(z)[y])[x]
+        assert plus(g.negs[x])[x] == 0
+        assert g.difference(x, y) == plus(g.negs[y])[x] == index(o, sub(o, a, b))
+        acc = 0
+        for _ in range(k):
+            acc = plus(x)[acc]
+        assert acc == index(o, scale(o, k, a))
 
 
 def test_subgroup_properties_random_sweep():
     rng = random.Random(40917)
     for _ in range(200):
         g = _random_group(rng)
+        o = g.cyclic_orders
         elems = g.elements()
         gens = [rng.choice(elems) for _ in range(rng.randint(0, 2))]
         s = g.subgroup(gens)
+        # the index elements are the coordinate closure of the generators
+        assert s.elements == frozenset(index(o, a) for a in closure(o, gens))
+        members = {elems[h] for h in s.elements}
         # closure generated twice is the same subgroup
-        assert g.subgroup(s.sorted_elements).elements == s.elements
+        assert g.subgroup([elems[h] for h in s.sorted_elements]).elements == s.elements
         assert g.order % s.order == 0
         reps = [elems[r] for r in s.coset_reps]
         assert len(reps) == s.index
         seen = set()
         for r in reps:
-            coset = {g.add(r, h) for h in s.elements}
+            coset = {add(o, r, h) for h in members}
             assert r == min(coset)
             assert not (coset & seen)
             seen |= coset
@@ -293,19 +318,24 @@ def test_subgroup_properties_random_sweep():
         assert len(s.coset_of) == g.order
         classes = [[] for _ in range(s.index)]
         for a in elems:
-            classes[s.coset_of[g.vertex_index(a)]].append(a)
+            classes[s.coset_of[g.index_of(a)]].append(a)
         assert all(len(c) == s.order for c in classes)
         assert [min(c) for c in classes] == reps
-        assert set(classes[0]) == s.elements
+        assert set(classes[0]) == members
 
 
 def test_involution_count_random_sweep():
     rng = random.Random(7311)
     for _ in range(200):
         g = _random_group(rng)
+        o = g.cyclic_orders
+        zero = (0,) * g.rank
         s = sum(1 for n in g.cyclic_orders if n % 2 == 0)
         assert len(g.involutions) == 2**s - 1
         for i in g.involutions:
             a = g.elements()[i]
-            assert g.add(a, a) == g.identity()
-            assert a != g.identity()
+            assert add(o, a, a) == zero
+            assert a != zero
+        assert g.involutions == {
+            index(o, a) for a in g.elements() if element_order(o, a) == 2
+        }

@@ -43,9 +43,9 @@ def test_found_on_z4():
     sets = out.witness.sets
     assert len(sets) == 1
     assert [(e.u, e.v) for e in sets[0].edges] == [(0, 1)]
-    assert sets[0].subgroup.sorted_elements == ((0,), (2,))
+    assert sets[0].subgroup.sorted_elements == (0, 2)
     assert len(out.subgroups_tried) == 1
-    assert out.subgroups_tried[0].sorted_elements == ((0,), (2,))
+    assert out.subgroups_tried[0].sorted_elements == (0, 2)
 
 
 def test_none_exists_examples():

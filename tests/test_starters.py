@@ -7,7 +7,7 @@ import json
 import pytest
 
 from starfact.cayley import build_model
-from starfact.groups import enumerate_abelian_groups, make_group, subgroups_of_order
+from starfact.groups import enumerate_abelian_groups, factorize, make_group, subgroups_of_order
 from starfact.search import search_starter
 from starfact.serialize import (
     canonical_json,
@@ -237,7 +237,7 @@ def test_witness_json_round_trips_are_byte_stable():
                     outcome = search_starter(build_model(group, H))
                     if outcome.status != "found":
                         continue
-                    primes = [p for p, _ in group.isomorphism_key()]
+                    primes = [p for n in group.cyclic_orders for p, _ in factorize(n)]
                     witnesses.append(len(set(primes)) < len(primes))  # non-cyclic
                     payload = json.loads(canonical_json(starter_payload(outcome.witness)))
                     back = starter_from_payload(payload)
