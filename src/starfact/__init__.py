@@ -8,14 +8,7 @@ known explicit families, searches models exhaustively, and certifies
 nonexistence across all abelian groups of a given order.
 """
 
-from .cayley import (
-    LONG,
-    SHORT,
-    CayleyModel,
-    Edge,
-    build_model,
-    export_edge_list,
-)
+from .cayley import CayleyModel, build_model, export_edge_list
 from .constructions import (
     ConstructionError,
     ExistenceVerdict,
@@ -77,9 +70,6 @@ __all__ = [
     "all_subgroups",
     "subgroups_of_order",
     "enumerate_abelian_groups",
-    "Edge",
-    "SHORT",
-    "LONG",
     "CayleyModel",
     "build_model",
     "export_edge_list",

@@ -2,8 +2,10 @@
 
 The graph on an abelian group G with a subgroup H of order n is
 Cay(G, Omega) with Omega = G minus H; the m = |G|/n parts are the cosets
-of H.  An edge is *short* when its endpoint difference is an involution
-(both differences coincide) and *long* otherwise.
+of H.  An edge is an ascending (u, v) pair of vertex indices.  It is
+*short* when its difference group.difference(u, v) is an involution (both
+differences coincide) and *long* otherwise; the kind is read off the pair
+where it matters and never stored.
 
 Vertices, differences and edges are vertex indices (see groups); coordinate
 tuples appear only in messages and in the starter JSON.
@@ -13,27 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 from .groups import AbelianGroup, Subgroup
 
 __all__ = [
-    "Edge",
     "CayleyModel",
     "build_model",
     "export_edge_list",
 ]
-
-SHORT = "short"
-LONG = "long"
-
-
-class Edge(NamedTuple):
-    """Unordered edge between vertex indices, stored with u < v."""
-
-    u: int
-    v: int
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -55,23 +44,17 @@ class CayleyModel:
     def edge_count(self) -> int:
         return self.group.order * len(self.omega) // 2
 
-    def edge(self, u: int, v: int) -> Edge:
-        """Canonical edge, validated against the model (ends in different parts)."""
-        e = self.edge_unchecked(u, v)
+    def edge(self, u: int, v: int) -> tuple[int, int]:
+        """The pair, validated against the model (ends in different parts)."""
+        e = self.pair(u, v)
         self.edge_difference(e)  # raises ValueError for an illegal edge
         return e
 
-    def edge_unchecked(self, u: int, v: int) -> Edge:
-        """Canonical edge without the legality check; verifiers use this so
-        that malformed input is reported rather than thrown."""
-        u, v = self.pair(u, v)
-        kind = SHORT if self.group.difference(u, v) in self.group.involutions else LONG
-        return Edge(u, v, kind)
-
     def pair(self, u: int, v: int) -> tuple[int, int]:
         """(u, v) in ascending order, after the index checks every edge read
-        from input passes: each an exact int in range, and u != v.  A
-        factorization edge is such a pair; its kind is never needed."""
+        from input passes: each an exact int in range, and u != v.  No
+        legality check, so verifiers can report an illegal edge rather
+        than throw."""
         order = self.group.order
         for x in (u, v):
             if type(x) is not int:  # exactly int: no bool, float or str
@@ -82,30 +65,15 @@ class CayleyModel:
             raise ValueError(f"degenerate edge at {self.group.elements()[u]}")
         return (u, v) if u < v else (v, u)
 
-    def edge_difference(self, e: Edge) -> frozenset[int]:
-        """{u-v, v-u} for a long edge, the single involution for a short one."""
-        d = self.group.difference(e.u, e.v)
+    def edge_difference(self, e: tuple[int, int]) -> frozenset[int]:
+        """{u-v, v-u} for a long edge (u, v), the single involution for a
+        short one."""
+        u, v = e
+        d = self.group.difference(u, v)
         if d in self.H.elements:
             el = self.group.elements()
-            raise ValueError(f"illegal edge {el[e.u]} ~ {el[e.v]}: difference {el[d]} lies in H")
+            raise ValueError(f"illegal edge {el[u]} ~ {el[v]}: difference {el[d]} lies in H")
         return frozenset({d, self.group.negs[d]})
-
-    def edge_vertices(self, e: Edge) -> frozenset[int]:
-        """Marked endpoints: both endpoints for a long edge; the canonical
-        (lesser) endpoint for a short one.  Either endpoint of a short edge
-        lies in the same coset of any subgroup containing its difference, so
-        the choice is safe.  No legality check, so verifiers can report an
-        illegal edge's other faults too."""
-        if e.kind == SHORT:
-            return frozenset({e.u})
-        return frozenset({e.u, e.v})
-
-    def translate_edge(self, e: Edge, row) -> Edge:
-        """The edge moved by g, where row is group.translation(g)."""
-        u, v = row[e.u], row[e.v]
-        if v < u:
-            u, v = v, u
-        return Edge(u, v, e.kind)
 
     def neighbours_above(self):
         """(u, [v > u in another part]) for each vertex u in turn: every
@@ -116,18 +84,9 @@ class CayleyModel:
             yield u, [v for v in range(u + 1, order) if coset[v] != cu]
 
     @cached_property
-    def all_edges(self) -> tuple[Edge, ...]:
-        """Every edge, ascending (neighbours_above).  The short edges are
-        {x, x + t} for the involutions t in Omega."""
-        short = set()
-        for t in self.omega & self.group.involutions:
-            row = self.group.translation(t)
-            short.update((x, y) for x, y in enumerate(row) if x < y)
-        return tuple(
-            Edge(u, v, SHORT if (u, v) in short else LONG)
-            for u, above in self.neighbours_above()
-            for v in above
-        )
+    def all_edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge as a (u, v) pair, ascending (neighbours_above)."""
+        return tuple((u, v) for u, above in self.neighbours_above() for v in above)
 
 
 def build_model(group: AbelianGroup, H: Subgroup) -> CayleyModel:
@@ -150,7 +109,7 @@ def build_model(group: AbelianGroup, H: Subgroup) -> CayleyModel:
 
 def export_edge_list(model: CayleyModel) -> str:
     """Plain-text edge list: one 'i j' line of vertex indices per edge,
-    ascending; the pairs of all_edges without building Edge objects."""
+    ascending; the pairs of all_edges without building the tuple."""
     names = [str(v) for v in range(model.group.order)]
     lines = []
     for u, above in model.neighbours_above():

@@ -107,8 +107,8 @@ def double_starter(starter: Starter) -> Starter:
     mixed_sets = []
     for sset in starter.sets:
         companion = lift(sset.subgroup)
-        plain = [model.edge(2 * e.u, 2 * e.v) for e in sset.edges]
-        mixed = [model.edge(2 * e.u, 2 * e.v + 1) for e in sset.edges]
+        plain = [model.edge(2 * u, 2 * v) for u, v in sset.edges]
+        mixed = [model.edge(2 * u, 2 * v + 1) for u, v in sset.edges]
         plain_sets.append(StarterSet(tuple(sorted(plain)), companion))
         mixed_sets.append(StarterSet(tuple(sorted(mixed)), companion))
     return Starter(
@@ -135,7 +135,7 @@ def _assemble_family(
     p, t, tp = params.p, params.t, params.t_prime
 
     def ed(a, b):
-        return model.edge_unchecked(group.index_of(a), group.index_of(b))
+        return model.pair(group.index_of(a), group.index_of(b))
 
     h_line = group.subgroup([(1, 0, 0)])
     sets: list[StarterSet] = []
@@ -179,7 +179,7 @@ def _partial_report(model: CayleyModel, sets, A: Subgroup) -> tuple[list[int], l
     difference, a broken condition 2 or 3, or an uncovered difference in A."""
     el = model.group.elements()
     counts, illegal = difference_counts(model, sets)
-    problems = [f"set {i}: illegal edge {el[e.u]}~{el[e.v]}" for i, e in illegal]
+    problems = [f"set {i}: illegal edge {el[u]}~{el[v]}" for i, (u, v) in illegal]
     dups = sorted(el[d] for d, c in counts.items() if c > 1)
     if dups:
         problems.append(f"repeats differences: {dups[:6]}")

@@ -289,9 +289,12 @@ def _partitions_desc(n: int, largest: int | None = None):
 
 def enumerate_abelian_groups(order: int) -> list[AbelianGroup]:
     """One representative per isomorphism class of abelian groups of the
-    given order, via integer partitions of each prime exponent."""
+    given order, via integer partitions of each prime exponent.  An order
+    above MAX_GROUP_ORDER is refused before it is factorized."""
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
+    if order > MAX_GROUP_ORDER:
+        raise ValueError(f"group order {order} exceeds the maximum {MAX_GROUP_ORDER}")
     per_prime = []
     for p, e in factorize(order):
         per_prime.append([tuple(p**part for part in parts) for parts in _partitions_desc(e)])

@@ -260,15 +260,18 @@ def search_starter(
     it holds every witness in memory with no cap (Z2 x Z6 with H = <(1, 0)>
     grew past 5.6 GB without a budget), so give it a budget.  budget limits
     the number of search-tree nodes, the root included; when it runs out
-    the outcome is budget_exceeded, never a silent none_exists.
+    the outcome is budget_exceeded, never a silent none_exists; a negative
+    budget raises ValueError before any search.
     The search runs in this process and returns as soon as its outcome is
     decided.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     ctx = _Ctx(model)
     tried = tuple(ctx.companions[c] for c in _root_branches(ctx))
-    if budget is not None and budget < 1:
+    if budget == 0:
         return SearchOutcome(BUDGET_EXCEEDED, None, 0, tried)
     collect = mode == "all"
     # The root costs one node; the walk counts the nodes below it.
@@ -310,7 +313,9 @@ class CertificationResult:
 def certify_nonexistence(m: int, n: int, budget: int | None = None) -> CertificationResult:
     """Run the search over every abelian group of order mn and every subgroup
     of order n.  certified means every pair exhausted with no witness; a
-    budget_exceeded on any pair downgrades the result, never silently."""
+    budget_exceeded on any pair downgrades the result, never silently.  A
+    negative budget raises ValueError from the first pair's search_starter,
+    before it searches."""
     if m < 2 or n < 2:
         raise ValueError("need m >= 2 and n >= 2")
     if (m * n) % 2 == 1:
@@ -375,15 +380,15 @@ def brute_force_factorizations(
     ne = len(edges)
     nv = group.order
     eid = {e: i for i, e in enumerate(edges)}
-    vbit = [(1 << e.u) | (1 << e.v) for e in edges]
+    vbit = [(1 << u) | (1 << v) for u, v in edges]
     by_vertex: list[list[int]] = [[] for _ in range(nv)]
-    for i, e in enumerate(edges):
-        by_vertex[e.u].append(i)
-        by_vertex[e.v].append(i)
-    trans = [
-        [eid[model.translate_edge(e, group.translation(g))] for e in edges]
-        for g in range(nv)
-    ]
+    for i, (u, v) in enumerate(edges):
+        by_vertex[u].append(i)
+        by_vertex[v].append(i)
+    trans = []
+    for g in range(nv):
+        row = group.translation(g)
+        trans.append([eid[model.pair(row[u], row[v])] for u, v in edges])
     full_v = (1 << nv) - 1
 
     def matchings(avail: int, covered: int, chosen: list[int]):
@@ -465,9 +470,8 @@ def brute_force_factorizations(
     rec = rec_invariant if require_invariance else rec_plain
     rec((1 << ne) - 1, [])
 
-    pairs = [(e.u, e.v) for e in edges]
     built = []
     for stack in witnesses:
-        factors = tuple(sorted(tuple(sorted(pairs[i] for i in m)) for m in stack))
+        factors = tuple(sorted(tuple(sorted(edges[i] for i in m)) for m in stack))
         built.append(OneFactorization(model, factors))
     return BruteForceResult(count, tuple(built), exhausted)

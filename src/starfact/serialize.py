@@ -109,7 +109,7 @@ def starter_payload(starter: Starter) -> dict:
         "sets": [
             {
                 "subgroup_generators": _gens_payload(sset.subgroup),
-                "edges": [[list(el[e.u]), list(el[e.v])] for e in sset.edges],
+                "edges": [[list(el[u]), list(el[v])] for u, v in sset.edges],
             }
             for sset in starter.sets
         ],
@@ -126,10 +126,11 @@ def starter_from_payload(payload: dict) -> Starter:
     H = subgroup_from_generators(group, payload["H_generators"])
     model = build_model(group, H)
     index = group.index_of
+    pair = model.pair
     sets = []
     for raw in payload["sets"]:
         sub = subgroup_from_generators(group, raw["subgroup_generators"])
-        edges = (model.edge_unchecked(index(u), index(v)) for u, v in raw["edges"])
+        edges = (pair(index(u), index(v)) for u, v in raw["edges"])
         sets.append(StarterSet(tuple(sorted(edges)), sub))
     provenance = {k: v for k, v in payload.items() if k not in _STARTER_CORE_KEYS}
     return Starter(model, tuple(sets), provenance or None)

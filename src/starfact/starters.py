@@ -13,11 +13,13 @@ Developing a valid starter (translating each S_i by H_i and then by the
 whole group) yields a one-factorization left invariant by every
 translation.
 
-Starter edges are Edge objects, whose kind the conditions read.  A
-one-factorization's factors are sorted tuples of (u, v) vertex-index pairs
-with u < v: develop, verify and invariance translate and count plain pairs
-through the group's translation rows, naming a pair by the code
-u * order + v where it must be sorted or looked up.
+Every edge, in a starter set or a factor, is a (u, v) vertex-index pair
+with u < v.  An edge is short when group.difference(u, v) is an
+involution; conditions 2 and 3 test that where they need it.  A
+one-factorization's factors are sorted tuples of pairs: develop, verify
+and invariance translate and count them through the group's translation
+rows, naming a pair by the code u * order + v where it must be sorted or
+looked up.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 
-from .cayley import SHORT, CayleyModel, Edge
+from .cayley import CayleyModel
 from .groups import Subgroup
 
 __all__ = [
@@ -45,9 +47,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StarterSet:
-    """One edge set together with its companion subgroup."""
+    """One edge set, sorted (u, v) pairs, together with its companion
+    subgroup."""
 
-    edges: tuple[Edge, ...]
+    edges: tuple[tuple[int, int], ...]
     subgroup: Subgroup
 
 
@@ -61,8 +64,7 @@ class Starter:
 @dataclass(frozen=True)
 class OneFactorization:
     """Each factor is a sorted tuple of (u, v) vertex-index pairs with
-    u < v, and the factors are sorted.  A pair carries no edge kind: the
-    kind is a function of (u, v), and no factor consumer reads it."""
+    u < v, and the factors are sorted."""
 
     model: CayleyModel
     factors: tuple[tuple[tuple[int, int], ...], ...]
@@ -113,11 +115,11 @@ class InvalidStarterError(ValueError):
 
 def difference_counts(
     model: CayleyModel, sets
-) -> tuple[Counter[int], list[tuple[int, Edge]]]:
+) -> tuple[Counter[int], list[tuple[int, tuple[int, int]]]]:
     """How often the legal edges of the sets cover each difference, and the
     (set number, edge) of every illegal edge, which covers nothing."""
     counts: Counter[int] = Counter()
-    illegal: list[tuple[int, Edge]] = []
+    illegal: list[tuple[int, tuple[int, int]]] = []
     for i, sset in enumerate(sets):
         for e in sset.edges:
             try:
@@ -131,9 +133,9 @@ def check_difference_cover(model: CayleyModel, sets) -> ConditionVerdict:
     verdict = ConditionVerdict("condition 1 (differences cover Omega exactly once)")
     counts, illegal = difference_counts(model, sets)
     el = model.group.elements()
-    for i, e in illegal:
-        d = el[model.group.difference(e.u, e.v)]
-        verdict.fail(f"set {i}: edge {el[e.u]}~{el[e.v]} is illegal (difference {d} in H)")
+    for i, (u, v) in illegal:
+        d = el[model.group.difference(u, v)]
+        verdict.fail(f"set {i}: edge {el[u]}~{el[v]} is illegal (difference {d} in H)")
     for d in sorted(counts):
         if counts[d] > 1:
             verdict.fail(f"difference {el[d]} covered {counts[d]} times")
@@ -144,13 +146,20 @@ def check_difference_cover(model: CayleyModel, sets) -> ConditionVerdict:
 
 
 def check_coset_transversals(model: CayleyModel, sets) -> ConditionVerdict:
+    """Both endpoints of a long edge are marked, only the lesser endpoint of
+    a short one.  Either endpoint of a short edge lies in the same coset of
+    any subgroup containing its difference, so the choice is safe.  No
+    legality check, so verifiers can report an illegal edge's other faults
+    too."""
     verdict = ConditionVerdict("condition 2 (marked endpoints form coset transversals)")
-    el = model.group.elements()
+    group = model.group
+    el = group.elements()
     for i, sset in enumerate(sets):
         sub = sset.subgroup
         hits = [0] * sub.index
-        for e in sset.edges:
-            for v in model.edge_vertices(e):
+        for u, v in sset.edges:
+            hits[sub.coset_of[u]] += 1
+            if group.difference(u, v) not in group.involutions:
                 hits[sub.coset_of[v]] += 1
         for r, count in zip(sub.coset_reps, hits):
             if count != 1:
@@ -163,16 +172,16 @@ def check_coset_transversals(model: CayleyModel, sets) -> ConditionVerdict:
 
 def check_short_edge_membership(model: CayleyModel, sets) -> ConditionVerdict:
     verdict = ConditionVerdict("condition 3 (short-edge differences lie in the companion)")
-    el = model.group.elements()
+    group = model.group
+    el = group.elements()
     for i, sset in enumerate(sets):
-        for e in sset.edges:
-            if e.kind == SHORT:
-                d = model.group.difference(e.u, e.v)
-                if d not in sset.subgroup.elements:
-                    verdict.fail(
-                        f"set {i}: short edge {el[e.u]}~{el[e.v]} has difference {el[d]}"
-                        " outside its companion subgroup"
-                    )
+        for u, v in sset.edges:
+            d = group.difference(u, v)
+            if d in group.involutions and d not in sset.subgroup.elements:
+                verdict.fail(
+                    f"set {i}: short edge {el[u]}~{el[v]} has difference {el[d]}"
+                    " outside its companion subgroup"
+                )
     return verdict
 
 
@@ -209,9 +218,9 @@ def develop_factorization(starter: Starter) -> OneFactorization:
     for sset in starter.sets:
         members = sset.subgroup.elements
         base = set()
-        for e in sset.edges:
+        for u, v in sset.edges:
             # u + h is rows(u)[h], so one pass moves the edge by every member.
-            at_u, at_v = rows(e.u).__getitem__, rows(e.v).__getitem__
+            at_u, at_v = rows(u).__getitem__, rows(v).__getitem__
             base.update(_codes(map(at_u, members), map(at_v, members), order))
         base = sorted(base)
         us = [c // order for c in base]

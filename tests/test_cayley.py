@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from starfact.cayley import LONG, SHORT, build_model, export_edge_list
+from starfact.cayley import build_model, export_edge_list
 from starfact.groups import make_group, subgroups_of_order
+from starfact.starters import StarterSet, check_coset_transversals
 
 
 def _model(orders, h_gens):
@@ -42,15 +43,28 @@ def test_shape_k5x2():
 def test_edge_canonicalization_and_kinds():
     m = _model([10], [(5,)])
     e = m.edge(3, 1)
-    assert (e.u, e.v, e.kind) == (1, 3, LONG)
+    assert e == (1, 3)
+    assert m.group.difference(*e) not in m.group.involutions  # long
     assert m.edge_difference(e) == frozenset({2, 8})
-    assert m.edge_vertices(e) == frozenset({1, 3})
+    # both ends of a long edge are marked: the full group's one coset is hit twice
+    full = StarterSet((e,), m.group.full_subgroup())
+    assert check_coset_transversals(m, [full]).violations == [
+        "set 0: coset of (0,) has 2 marked endpoints (companion order 10)"
+    ]
 
     m22 = _model([2, 2], [(1, 0)])
     s = m22.edge(1, 0)  # (0, 1) ~ (0, 0)
-    assert s.kind == SHORT
+    assert s == (0, 1)
+    assert m22.group.difference(*s) in m22.group.involutions  # short
     assert m22.edge_difference(s) == frozenset({1})
-    assert m22.edge_vertices(s) == frozenset({0})
+    # only one end of a short edge is marked, so the full group passes ...
+    assert check_coset_transversals(m22, [StarterSet((s,), m22.group.full_subgroup())]).ok
+    # ... and it is the lesser end: under <(1, 0)> the ends lie in two cosets,
+    # and the coset of the greater end (0, 1) is the one left empty
+    split = StarterSet((s,), m22.group.subgroup([(1, 0)]))
+    assert check_coset_transversals(m22, [split]).violations == [
+        "set 0: coset of (0, 1) has 0 marked endpoints (companion order 2)"
+    ]
 
 
 def test_illegal_and_degenerate_edges():
@@ -61,10 +75,11 @@ def test_illegal_and_degenerate_edges():
         m.edge(2, 2)
     for bad in (-1, 10):
         with pytest.raises(ValueError, match="vertex index out of range"):
-            m.edge_unchecked(0, bad)
-    # unchecked constructor lets the illegal difference through, but the
-    # difference accessor still refuses it
-    e = m.edge_unchecked(0, 5)
+            m.pair(0, bad)
+    # pair lets the illegal difference through, but the difference accessor
+    # still refuses it
+    e = m.pair(0, 5)
+    assert e == (0, 5)
     with pytest.raises(ValueError):
         m.edge_difference(e)
 
@@ -72,12 +87,14 @@ def test_illegal_and_degenerate_edges():
 def test_translate_preserves_difference():
     rng = random.Random(1183)
     m = _model([4, 3], [(2, 0)])
+    invol = m.group.involutions
     for _ in range(100):
         e = rng.choice(m.all_edges)
-        t = m.translate_edge(e, m.group.translation(rng.randrange(m.group.order)))
-        assert t.u < t.v
+        row = m.group.translation(rng.randrange(m.group.order))
+        t = m.pair(row[e[0]], row[e[1]])
+        assert t[0] < t[1]
         assert m.edge_difference(t) == m.edge_difference(e)
-        assert t.kind == e.kind
+        assert (m.group.difference(*t) in invol) == (m.group.difference(*e) in invol)
 
 
 def test_short_orbits_are_perfect_matchings():
@@ -86,13 +103,14 @@ def test_short_orbits_are_perfect_matchings():
     cases = [([2, 2], [(1, 0)]), ([4, 2], [(0, 1)]), ([2, 2, 3], [(0, 0, 1)]), ([12, 2], [(6, 0)])]
     for orders, h_gens in cases:
         m = _model(orders, h_gens)
-        shorts = [e for e in m.all_edges if e.kind == SHORT]
+        shorts = [e for e in m.all_edges if m.group.difference(*e) in m.group.involutions]
         if not shorts:
             continue
         rows = [m.group.translation(g) for g in range(m.group.order)]
-        orbit = {m.translate_edge(shorts[0], row) for row in rows}
+        u, v = shorts[0]
+        orbit = {m.pair(row[u], row[v]) for row in rows}
         assert len(orbit) == m.group.order // 2
-        covered = [v for e in orbit for v in (e.u, e.v)]
+        covered = [x for e in orbit for x in e]
         assert sorted(covered) == list(range(m.group.order))
 
 
@@ -103,12 +121,17 @@ def test_all_edges_complete_and_sorted():
         assert len(edges) == m.edge_count
         assert len(set(edges)) == len(edges)
         assert list(edges) == sorted(edges)
-        for e in edges:
-            assert e.u < e.v
-            m.edge_difference(e)  # legality
-            assert m.H.coset_of[e.u] != m.H.coset_of[e.v]  # no edge inside a part
-            d = m.group.difference(e.u, e.v)
-            assert (e.kind == SHORT) == (d in m.group.involutions)
+        for u, v in edges:
+            assert u < v
+            m.edge_difference((u, v))  # legality
+            assert m.H.coset_of[u] != m.H.coset_of[v]  # no edge inside a part
+        # the short edges are {x, x + t} for the involutions t in Omega
+        short = {e for e in edges if m.group.difference(*e) in m.group.involutions}
+        expected = set()
+        for t in m.omega & m.group.involutions:
+            row = m.group.translation(t)
+            expected.update((x, y) for x, y in enumerate(row) if x < y)
+        assert short == expected
 
 
 def test_edge_count_formula_across_lattice():
@@ -130,7 +153,8 @@ def test_export_edge_list_golden():
 
 def test_edge_index_pairs_ascending():
     m = _model([5, 2], [(0, 1)])
-    pairs = [(e.u, e.v) for e in m.all_edges]
+    pairs = list(m.all_edges)
+    assert all(type(e) is tuple and len(e) == 2 for e in pairs)
     assert pairs == sorted(pairs)
     assert len(pairs) == m.edge_count
     assert all(0 <= i < j < 10 for i, j in pairs)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import multiprocessing.process
 import os
 import resource
@@ -216,6 +217,10 @@ def test_usage_errors_exit_64():
                    "--frobnicate").returncode == USAGE
     assert run_cli("search", "--group", "4", "--H", "2",
                    "--workers", "0").returncode == USAGE
+    assert run_cli("search", "--group", "4", "--H", "2",
+                   "--budget", "-5").returncode == USAGE
+    assert run_cli("certify-nonexist", "--m", "2", "--n", "2",
+                   "--budget", "-5").returncode == USAGE
     assert run_cli("verify-starter", "/no/such/file.json").returncode == USAGE
 
 
@@ -227,16 +232,23 @@ def _limit_memory():
 
 @pytest.mark.parametrize(
     "orders, group, H",
-    [([10**12], "1000000000000", "1"), ([10**6, 1000], "1000000,1000", "1,0")],
+    [
+        ([10**12], "1000000000000", "1"),
+        ([10**6, 1000], "1000000,1000", "1,0"),
+        ([10**18 + 3], str(10**18 + 3), "1"),  # trial division would take minutes
+    ],
 )
 def test_group_order_above_the_maximum_exits_64(orders, group, H):
     starter = json.loads(golden_starter_json())
     fact = json.loads(run_cli("develop", "-", stdin=golden_starter_json()).stdout)
     starter["group"]["cyclic_orders"] = fact["group"]["cyclic_orders"] = orders
+    order = str(math.prod(orders))
     runs = [
         (["verify-starter", "-"], json.dumps(starter)),
         (["verify-factorization", "-"], json.dumps(fact)),
         (["search", "--group", group, "--H", H], None),
+        (["groups", "--order", order], None),
+        (["certify-nonexist", "--m", order, "--n", "2"], None),
     ]
     for args, stdin in runs:
         r = subprocess.run(
@@ -245,6 +257,7 @@ def test_group_order_above_the_maximum_exits_64(orders, group, H):
             capture_output=True,
             text=True,
             preexec_fn=_limit_memory,
+            timeout=10,
         )
         assert r.returncode == USAGE, (args, r.stderr)
         assert r.stderr.startswith("bad input: ") and r.stderr.count("\n") == 1

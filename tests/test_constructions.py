@@ -87,7 +87,7 @@ def test_completion_p5():
     assert starter.provenance["completed_pairs"] == 4
     singles = starter.sets[4:]
     el = starter.model.group.elements()
-    assert [el[s.edges[0].v] for s in singles] == [
+    assert [el[s.edges[0][1]] for s in singles] == [
         (0, 2, 1),
         (1, 3, 1),
         (2, 0, 1),
@@ -95,7 +95,7 @@ def test_completion_p5():
     ]
     for s in singles:
         assert len(s.edges) == 1
-        assert s.edges[0].u == 0  # the identity
+        assert s.edges[0][0] == 0  # the identity
         assert s.subgroup == A
     assert verify_starter(starter).passed
 
@@ -118,7 +118,9 @@ def test_construct_prime_power_p13_shape():
     final = starter.sets[7]
     assert len(final.edges) == 13
     assert final.subgroup.order == 13
-    marked = [v for e in final.edges for v in (e.u, e.v)]
+    g = starter.model.group
+    assert not any(g.difference(u, v) in g.involutions for u, v in final.edges)
+    marked = [x for e in final.edges for x in e]
     assert len(marked) == 26  # all long, both endpoints marked
     assert verify_starter(starter).passed
 
@@ -176,8 +178,8 @@ def test_doubling_golden():
     # plain copy keeps differences in the 0 layer, mixed copy moves to 1
     g = doubled.model.group
     el = g.elements()
-    plain_diffs = {el[g.difference(e.u, e.v)][-1] for e in doubled.sets[0].edges}
-    mixed_diffs = {el[g.difference(e.u, e.v)][-1] for e in doubled.sets[1].edges}
+    plain_diffs = {el[g.difference(u, v)][-1] for u, v in doubled.sets[0].edges}
+    mixed_diffs = {el[g.difference(u, v)][-1] for u, v in doubled.sets[1].edges}
     assert plain_diffs == {0}
     assert mixed_diffs == {1}
     assert verify_starter(doubled).passed

@@ -42,7 +42,7 @@ def test_found_on_z4():
     assert verify_starter(out.witness).passed
     sets = out.witness.sets
     assert len(sets) == 1
-    assert [(e.u, e.v) for e in sets[0].edges] == [(0, 1)]
+    assert sets[0].edges == ((0, 1),)
     assert sets[0].subgroup.sorted_elements == (0, 2)
     assert len(out.subgroups_tried) == 1
     assert out.subgroups_tried[0].sorted_elements == (0, 2)
@@ -110,14 +110,12 @@ def test_witness_on_z12_order3_parts():
     out = search_starter(_model([12], [(4,)]))
     assert out.status == FOUND
     assert out.nodes_explored == 6
-    shaped = [
-        ([(e.u, e.v) for e in s.edges], s.subgroup.order) for s in out.witness.sets
-    ]
+    shaped = [(s.edges, s.subgroup.order) for s in out.witness.sets]
     assert shaped == [
-        ([(0, 1)], 6),
-        ([(0, 2), (1, 7)], 4),
-        ([(0, 3)], 6),
-        ([(0, 5)], 6),
+        (((0, 1),), 6),
+        (((0, 2), (1, 7)), 4),
+        (((0, 3),), 6),
+        (((0, 5),), 6),
     ]
     # companions are probed largest first
     assert [s.order for s in out.subgroups_tried] == [6, 4, 3, 2]
@@ -128,9 +126,7 @@ def test_enumerate_all_starters_z4():
     assert out.status == FOUND
     assert out.nodes_explored == 5
     # the four translates of the single long edge, nothing else
-    edges = sorted(
-        (s.edges[0].u, s.edges[0].v) for w in out.witnesses for s in w.sets
-    )
+    edges = sorted(s.edges[0] for w in out.witnesses for s in w.sets)
     assert edges == [(0, 1), (0, 3), (1, 2), (2, 3)]
     assert out.witness == out.witnesses[0]
     for w in out.witnesses:

@@ -74,7 +74,7 @@ def test_duplicate_and_missing_differences_reported():
 
 def test_illegal_edge_reported_not_thrown():
     m = _model([4], [(2,)])
-    bad = m.edge_unchecked(0, 2)  # difference lies in H
+    bad = m.pair(0, 2)  # difference lies in H
     report = verify_starter(Starter(m, (StarterSet((bad,), m.group.subgroup([(2,)])),)))
     assert not report.passed
     assert any("illegal" in v for v in report.condition1.violations)
@@ -135,7 +135,7 @@ def test_verify_factorization_failures():
 
 def test_non_invariant_factor_set_detected():
     m = _model([4], [(2,)])
-    lone = tuple(sorted((e.u, e.v) for e in (m.edge(0, 1), m.edge(2, 3))))
+    lone = tuple(sorted((m.edge(0, 1), m.edge(2, 3))))
     fact = OneFactorization(m, (lone,))
     assert not check_invariance(m, fact)
     assert not check_invariance(m, fact, exhaustive=True)
@@ -226,8 +226,11 @@ def test_searched_witnesses_develop_cleanly():
 def test_witness_json_round_trips_are_byte_stable():
     # Every search witness on a group of order <= 16, cyclic or not: the
     # starter JSON and the developed factorization JSON both survive a load
-    # and a dump unchanged.
+    # and a dump unchanged.  Moving the first edge (u, v) to (u, v'), with
+    # v' the least vertex in another part whose difference pair differs,
+    # leaves {v - u, u - v} uncovered, so condition 1 must fail.
     witnesses = []
+    moved = 0
     for order in range(4, 17, 2):
         for group in enumerate_abelian_groups(order):
             for size in range(2, order):
@@ -245,5 +248,23 @@ def test_witness_json_round_trips_are_byte_stable():
                     fact = factorization_payload(develop_factorization(back))
                     again = factorization_payload(factorization_from_payload(fact))
                     assert canonical_json(again) == canonical_json(fact)
+                    model = back.model
+                    first = back.sets[0]
+                    u, v = first.edges[0]
+                    coset = model.H.coset_of
+                    others = [
+                        w
+                        for w in range(order)
+                        if coset[w] != coset[u]
+                        and model.edge_difference((u, w)) != model.edge_difference((u, v))
+                    ]
+                    if not others:  # Omega is the one pair {v - u, u - v}
+                        continue
+                    edges = tuple(sorted((model.pair(u, others[0]),) + first.edges[1:]))
+                    sets = (StarterSet(edges, first.subgroup),) + back.sets[1:]
+                    report = verify_starter(Starter(model, sets))
+                    assert not report.condition1.ok
+                    moved += 1
     assert len(witnesses) == 154
     assert sum(witnesses) == 143
+    assert moved == 153  # all but Z4 with H = <2>
