@@ -38,6 +38,8 @@ from .serialize import (
     canonical_json,
     factorization_from_payload,
     factorization_payload,
+    generators_payload,
+    group_payload,
     starter_from_payload,
     starter_payload,
 )
@@ -101,8 +103,17 @@ def _parse_generators(spec: str, rank: int):
     return gens
 
 
+def _read_json(path: str):
+    """The JSON document at path.  Nesting too deep for the parser is
+    malformed input, as a syntax error is."""
+    try:
+        return json.loads(_read_text(path))
+    except RecursionError as exc:
+        raise ValueError(exc) from None
+
+
 def _load_starter(path: str):
-    return starter_from_payload(json.loads(_read_text(path)))
+    return starter_from_payload(_read_json(path))
 
 
 def _maybe_emit_edges(args, model) -> None:
@@ -141,7 +152,7 @@ def _cmd_develop(args) -> int:
 
 
 def _cmd_verify_factorization(args) -> int:
-    fact = factorization_from_payload(json.loads(_read_text(args.factorization)))
+    fact = factorization_from_payload(_read_json(args.factorization))
     report = verify_factorization(fact.model, fact)
     payload = report.payload()
     passed = report.passed
@@ -189,9 +200,7 @@ def _cmd_classify(args) -> int:
     verdict = classify_existence(args.m, args.n)
     payload = verdict.payload(args.m, args.n)
     if verdict.rule == "parity_count":
-        cert = parity_nonexistence(args.m, args.n)
-        if cert is not None:
-            payload["certificate"] = cert.payload()
+        payload["certificate"] = parity_nonexistence(args.m, args.n).payload()
     _write_text(args.out, canonical_json(payload))
     return EX_OK
 
@@ -199,13 +208,10 @@ def _cmd_classify(args) -> int:
 def _cmd_groups(args) -> int:
     out = []
     for group in enumerate_abelian_groups(args.order):
-        entry = {"cyclic_orders": list(group.cyclic_orders)}
+        entry = group_payload(group)
         if args.subgroups:
             entry["subgroups"] = [
-                {
-                    "order": sub.order,
-                    "generators": [list(g) for g in sub.generators],
-                }
+                {"order": sub.order, "generators": generators_payload(sub)}
                 for sub in all_subgroups(group)
             ]
         out.append(entry)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cayley import CayleyModel, build_model
-from .groups import Subgroup, factorize, make_group
+from .groups import MAX_GROUP_ORDER, Subgroup, check_group_order, factorize, make_group
 from .starters import (
     InvalidStarterError,
     Starter,
@@ -52,8 +52,15 @@ class ConstructionError(ValueError):
         self.details = details
 
 
+def _is_prime_power(n: int) -> tuple[int, int] | None:
+    fac = factorize(n)
+    if len(fac) == 1:
+        return fac[0]
+    return None
+
+
 def _is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == [(n, 1)]
+    return n >= 2 and _is_prime_power(n) == (n, 1)
 
 
 @dataclass(frozen=True)
@@ -67,12 +74,18 @@ class PrimePowerParams:
 
     @classmethod
     def validate(cls, p: int, v: int) -> "PrimePowerParams":
+        """The family's group has order 2 * p^v; one above MAX_GROUP_ORDER
+        is refused before p is tested for primality by trial division.
+        2 * 2^e exceeds the maximum for e its bit length, so the test never
+        raises p to a larger power than that."""
+        if v < 2:
+            raise ValueError(f"v must be >= 2, got {v}")
+        if p >= 2:
+            check_group_order(2 * p ** min(v, MAX_GROUP_ORDER.bit_length()), f"2 * {p}^{v}")
         if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if p % 4 != 1:
             raise ValueError(f"p = {p} is not congruent to 1 mod 4")
-        if v < 2:
-            raise ValueError(f"v must be >= 2, got {v}")
         q = p ** (v - 1)
         return cls(p=p, v=v, t=(p - 1) // 4, t_prime=(q - 1) // 4)
 
@@ -95,13 +108,12 @@ def double_starter(starter: Starter) -> Starter:
 
     old_group = starter.model.group
     group = make_group(old_group.cyclic_orders + (2,))
-    h_gens = [g + (0,) for g in starter.model.H.generators] + [(0,) * old_group.rank + (1,)]
-    H = group.subgroup(h_gens)
-    model = build_model(group, H)
 
     def lift(sub: Subgroup) -> Subgroup:
         gens = [g + (0,) for g in sub.generators] + [(0,) * old_group.rank + (1,)]
         return group.subgroup(gens)
+
+    model = build_model(group, lift(starter.model.H))
 
     plain_sets = []
     mixed_sets = []
@@ -331,11 +343,9 @@ class NonexistenceCertificate:
 def parity_nonexistence(m: int, n: int) -> NonexistenceCertificate | None:
     """Certificate that no abelian group admits a K_{m x n} starter, when the
     parity argument applies; None otherwise."""
-    if m % 4 != 3 or n % 2 != 0:
+    if m % 4 != 3 or n % 4 != 2:
         return None
     d = n // 2
-    if d % 2 == 0:
-        return None
     count = d * (m - 1)
     narrative = {
         "group_order": m * n,
@@ -382,13 +392,6 @@ def _two_part(n: int) -> tuple[int, int]:
     return v, n
 
 
-def _is_prime_power(n: int) -> tuple[int, int] | None:
-    fac = factorize(n)
-    if len(fac) == 1:
-        return fac[0]
-    return None
-
-
 def classify_existence(m: int, n: int) -> ExistenceVerdict:
     """Decide existence of a K_{m x n} starter over some abelian group when a
     known rule applies; return unknown otherwise, never guessing."""
@@ -403,13 +406,14 @@ def classify_existence(m: int, n: int) -> ExistenceVerdict:
     vm, dm = _two_part(m)
     vn, dn = _two_part(n)
 
-    if m % 4 == 3 and vn == 1:
+    if parity_nonexistence(m, n) is not None:
         return ExistenceVerdict(
             "not_exists",
             "parity_count",
             "m = 3 mod 4 with n twice an odd number fails the parity count",
         )
     if n == 2 and m % 4 == 1:
+        check_group_order(m * n)  # before factorizing m
         pp = _is_prime_power(m)
         if pp is not None:
             p, v = pp

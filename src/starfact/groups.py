@@ -27,12 +27,20 @@ __all__ = [
     "enumerate_abelian_groups",
     "factorize",
     "MAX_GROUP_ORDER",
+    "check_group_order",
 ]
 
 # The largest group order accepted.  A group keeps per-element tables
 # (translation rows, negation, coset indices), so a larger order is refused
 # with ValueError before any of them is allocated.
 MAX_GROUP_ORDER = 1_000_000
+
+
+def check_group_order(order: int, shown: str | None = None) -> None:
+    """Refuse a group order above MAX_GROUP_ORDER with ValueError; the
+    message writes the order as shown, when given, or as the number."""
+    if order > MAX_GROUP_ORDER:
+        raise ValueError(f"group order {shown or order} exceeds the maximum {MAX_GROUP_ORDER}")
 
 
 @dataclass(frozen=True)
@@ -50,8 +58,7 @@ class AbelianGroup:
         if any(n < 2 for n in orders):
             raise ValueError(f"cyclic factor orders must be >= 2, got {orders}")
         order = prod(orders)
-        if order > MAX_GROUP_ORDER:
-            raise ValueError(f"group order {order} exceeds the maximum {MAX_GROUP_ORDER}")
+        check_group_order(order)
         object.__setattr__(self, "cyclic_orders", orders)
         object.__setattr__(self, "_rows", [None] * order)  # see translation
 
@@ -293,8 +300,7 @@ def enumerate_abelian_groups(order: int) -> list[AbelianGroup]:
     above MAX_GROUP_ORDER is refused before it is factorized."""
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
-    if order > MAX_GROUP_ORDER:
-        raise ValueError(f"group order {order} exceeds the maximum {MAX_GROUP_ORDER}")
+    check_group_order(order)
     per_prime = []
     for p, e in factorize(order):
         per_prime.append([tuple(p**part for part in parts) for parts in _partitions_desc(e)])

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .cayley import CayleyModel, build_model
 from .groups import Subgroup, enumerate_abelian_groups, subgroups_of_order
-from .serialize import starter_payload
+from .serialize import generators_payload, starter_payload
 from .starters import OneFactorization, Starter, StarterSet, verify_starter
 
 __all__ = [
@@ -62,9 +62,7 @@ class SearchOutcome:
         out = {
             "status": self.status,
             "nodes_explored": self.nodes_explored,
-            "subgroups_tried": [
-                [list(g) for g in sub.generators] for sub in self.subgroups_tried
-            ],
+            "subgroups_tried": [generators_payload(sub) for sub in self.subgroups_tried],
         }
         if self.witness is not None:
             out["witness"] = starter_payload(self.witness)
@@ -181,12 +179,11 @@ def _moves(ctx: _Ctx, sets: list, covered: int, slots: int, w: int, comps, ancho
 
 
 def _witness_starter(ctx: _Ctx, witness_sets) -> Starter:
-    model = ctx.model
-    out = []
-    for comp, edges in witness_sets:
-        built = tuple(sorted(model.edge(u, v) for u, v in edges))
-        out.append(StarterSet(built, ctx.companions[comp]))
-    starter = Starter(model, tuple(out), provenance={"construction": "search"})
+    """The walk's sets as a verified Starter.  The walk places ascending
+    pairs only, so each set needs sorting alone; verify_starter judges the
+    edges."""
+    out = tuple(StarterSet(tuple(sorted(edges)), ctx.companions[c]) for c, edges in witness_sets)
+    starter = Starter(ctx.model, out, provenance={"construction": "search"})
     report = verify_starter(starter)
     if not report.passed:
         raise RuntimeError("search produced an invalid witness:\n" + report.summary())
@@ -331,7 +328,7 @@ def certify_nonexistence(m: int, n: int, budget: int | None = None) -> Certifica
             pairs.append(
                 {
                     "group": list(group.cyclic_orders),
-                    "H_generators": [list(g) for g in H.generators],
+                    "H_generators": generators_payload(H),
                     "status": outcome.status,
                     "nodes_explored": outcome.nodes_explored,
                 }
@@ -370,8 +367,10 @@ def brute_force_factorizations(
     translation orbits of matchings, so the enumeration picks the matching
     through the least free edge and accepts it only when its orbit tiles
     without overlap.  The edge pool stays translation-invariant throughout,
-    which keeps that check sufficient.  Intentionally simple and only usable
-    for tiny groups; the exact counts cross-check the starter search.
+    which keeps that check sufficient.  Without it the walk is the same
+    with no translations, so each orbit is the matching alone.
+    Intentionally simple and only usable for tiny groups; the exact counts
+    cross-check the starter search.
     """
     group = model.group
     if group.order > _BRUTE_FORCE_CAP:
@@ -385,93 +384,62 @@ def brute_force_factorizations(
     for i, (u, v) in enumerate(edges):
         by_vertex[u].append(i)
         by_vertex[v].append(i)
-    trans = []
-    for g in range(nv):
-        row = group.translation(g)
-        trans.append([eid[model.pair(row[u], row[v])] for u, v in edges])
+    shifts = []  # edge-index rows of the nonzero translations, when required
+    if require_invariance:
+        for g in range(1, nv):
+            row = group.translation(g)
+            shifts.append([eid[model.pair(row[u], row[v])] for u, v in edges])
     full_v = (1 << nv) - 1
-
-    def matchings(avail: int, covered: int, chosen: list[int]):
-        """Perfect matchings inside avail extending chosen (which covers
-        covered); yields edge-index lists."""
-        if covered == full_v:
-            yield list(chosen)
-            return
-        v = ((covered + 1) & ~covered).bit_length() - 1  # least uncovered vertex
-        for i in by_vertex[v]:
-            if not avail >> i & 1:
-                continue
-            if vbit[i] & covered:
-                continue
-            chosen.append(i)
-            yield from matchings(avail, covered | vbit[i], chosen)
-            chosen.pop()
-
     count = 0
     witnesses: list[tuple[tuple[int, ...], ...]] = []
     exhausted = True
+    stack: list[tuple[int, ...]] = []  # the factors so far, as edge-index tuples
 
-    def emit(stack: list[tuple[int, ...]]) -> bool:
-        """Record a completed factorization; True means stop the search."""
+    def rec(avail: int, covered: int, chosen: list[int]) -> bool:
+        """Grow the matching chosen, which covers the vertices in covered,
+        by each edge of avail at the least uncovered vertex.  A perfect
+        matching joins stack with its orbit under shifts, if the orbit tiles
+        without overlap, and the next factor starts at the least edge left
+        in avail.  True means stop the search."""
         nonlocal count, exhausted
-        count += 1
-        if len(witnesses) < max_witnesses:
-            witnesses.append(tuple(stack))
-        if stop_after is not None and count >= stop_after:
-            exhausted = False
-            return True
-        return False
-
-    def rec_plain(avail: int, stack: list[tuple[int, ...]]) -> bool:
-        if avail == 0:
-            return emit(stack)
-        e0 = (avail & -avail).bit_length() - 1
-        for m in matchings(avail & ~(1 << e0), vbit[e0], [e0]):
-            mask = 0
-            for i in m:
-                mask |= 1 << i
-            stack.append(tuple(sorted(m)))
-            if rec_plain(avail & ~mask, stack):
-                return True
-            stack.pop()
-        return False
-
-    def rec_invariant(avail: int, stack: list[tuple[int, ...]]) -> bool:
-        if avail == 0:
-            return emit(stack)
-        e0 = (avail & -avail).bit_length() - 1
-        for m in matchings(avail & ~(1 << e0), vbit[e0], [e0]):
-            mmask = 0
-            for i in m:
-                mmask |= 1 << i
-            orbit_mask = mmask
-            orbit = {tuple(sorted(m))}
-            ok = True
-            for g in range(1, nv):
-                row = trans[g]
-                shifted = sorted(row[i] for i in m)
-                smask = 0
-                for i in shifted:
-                    smask |= 1 << i
-                if smask != mmask and smask & mmask:
-                    ok = False
-                    break
+        if covered == full_v:
+            mask = sum(1 << i for i in chosen)
+            orbit_mask = mask
+            orbit = {tuple(sorted(chosen))}
+            for row in shifts:
+                shifted = sorted(row[i] for i in chosen)
+                smask = sum(1 << i for i in shifted)
+                if smask != mask and smask & mask:
+                    return False
                 orbit_mask |= smask
                 orbit.add(tuple(shifted))
-            if not ok:
-                continue
             pos = len(stack)
             stack.extend(sorted(orbit))
-            if rec_invariant(avail & ~orbit_mask, stack):
-                return True
+            stop = rec(avail & ~orbit_mask, 0, [])
             del stack[pos:]
+            return stop
+        if not covered:
+            if not avail:  # every edge lies in a factor
+                count += 1
+                if len(witnesses) < max_witnesses:
+                    witnesses.append(tuple(stack))
+                exhausted = stop_after is None or count < stop_after
+                return not exhausted
+            e0 = (avail & -avail).bit_length() - 1
+            return rec(avail, vbit[e0], [e0])
+        v = ((covered + 1) & ~covered).bit_length() - 1  # least uncovered vertex
+        for i in by_vertex[v]:
+            if avail >> i & 1 and not vbit[i] & covered:
+                chosen.append(i)
+                if rec(avail, covered | vbit[i], chosen):
+                    return True
+                chosen.pop()
         return False
 
-    rec = rec_invariant if require_invariance else rec_plain
-    rec((1 << ne) - 1, [])
+    rec((1 << ne) - 1, 0, [])
 
     built = []
-    for stack in witnesses:
-        factors = tuple(sorted(tuple(sorted(edges[i] for i in m)) for m in stack))
+    for factor_ids in witnesses:
+        factors = tuple(sorted(tuple(sorted(edges[i] for i in m)) for m in factor_ids))
         built.append(OneFactorization(model, factors))
     return BruteForceResult(count, tuple(built), exhausted)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 
-from .cayley import build_model
+from .cayley import CayleyModel, build_model
 from .groups import AbelianGroup, Subgroup, make_group, subgroup_from_generators
 from .starters import OneFactorization, Starter, StarterSet
 
@@ -20,6 +20,7 @@ __all__ = [
     "canonical_json",
     "group_payload",
     "group_from_payload",
+    "generators_payload",
     "starter_payload",
     "starter_from_payload",
     "factorization_payload",
@@ -97,7 +98,8 @@ def group_from_payload(payload: dict) -> AbelianGroup:
     return make_group(payload["cyclic_orders"])
 
 
-def _gens_payload(sub: Subgroup) -> list[list[int]]:
+def generators_payload(sub: Subgroup) -> list[list[int]]:
+    """The wire format of a subgroup: its generators as coordinate lists."""
     return [list(g) for g in sub.generators]
 
 
@@ -105,10 +107,10 @@ def starter_payload(starter: Starter) -> dict:
     el = starter.model.group.elements()
     payload = {
         "group": group_payload(starter.model.group),
-        "H_generators": _gens_payload(starter.model.H),
+        "H_generators": generators_payload(starter.model.H),
         "sets": [
             {
-                "subgroup_generators": _gens_payload(sset.subgroup),
+                "subgroup_generators": generators_payload(sset.subgroup),
                 "edges": [[list(el[u]), list(el[v])] for u, v in sset.edges],
             }
             for sset in starter.sets
@@ -121,10 +123,15 @@ def starter_payload(starter: Starter) -> dict:
     return payload
 
 
-def starter_from_payload(payload: dict) -> Starter:
+def _model_from_payload(payload: dict) -> CayleyModel:
+    """The model of a starter or factorization payload: its group, then H."""
     group = group_from_payload(payload["group"])
-    H = subgroup_from_generators(group, payload["H_generators"])
-    model = build_model(group, H)
+    return build_model(group, subgroup_from_generators(group, payload["H_generators"]))
+
+
+def starter_from_payload(payload: dict) -> Starter:
+    model = _model_from_payload(payload)
+    group = model.group
     index = group.index_of
     pair = model.pair
     sets = []
@@ -139,7 +146,7 @@ def starter_from_payload(payload: dict) -> Starter:
 def factorization_payload(fact: OneFactorization) -> dict:
     return {
         "group": group_payload(fact.model.group),
-        "H_generators": _gens_payload(fact.model.H),
+        "H_generators": generators_payload(fact.model.H),
         "factors": [[[u, v] for u, v in factor] for factor in fact.factors],
     }
 
@@ -148,9 +155,7 @@ def factorization_from_payload(payload: dict) -> OneFactorization:
     """Each edge passes the index checks of CayleyModel.pair, in input
     order, and becomes an ascending (u, v) pair; legality is left to
     verify_factorization, which reports it."""
-    group = group_from_payload(payload["group"])
-    H = subgroup_from_generators(group, payload["H_generators"])
-    model = build_model(group, H)
+    model = _model_from_payload(payload)
     pair = model.pair
     factors = [tuple(sorted([pair(u, v) for u, v in raw])) for raw in payload["factors"]]
     return OneFactorization(model, tuple(sorted(factors)))

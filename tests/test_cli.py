@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import hashlib
+import importlib
 import json
 import math
 import multiprocessing.process
@@ -12,6 +14,7 @@ import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -236,6 +239,7 @@ def _limit_memory():
         ([10**12], "1000000000000", "1"),
         ([10**6, 1000], "1000000,1000", "1,0"),
         ([10**18 + 3], str(10**18 + 3), "1"),  # trial division would take minutes
+        ([10**18 + 9], str(10**18 + 9), "1"),  # = 1 mod 4, so classify would factorize it
     ],
 )
 def test_group_order_above_the_maximum_exits_64(orders, group, H):
@@ -243,15 +247,9 @@ def test_group_order_above_the_maximum_exits_64(orders, group, H):
     fact = json.loads(run_cli("develop", "-", stdin=golden_starter_json()).stdout)
     starter["group"]["cyclic_orders"] = fact["group"]["cyclic_orders"] = orders
     order = str(math.prod(orders))
-    runs = [
-        (["verify-starter", "-"], json.dumps(starter)),
-        (["verify-factorization", "-"], json.dumps(fact)),
-        (["search", "--group", group, "--H", H], None),
-        (["groups", "--order", order], None),
-        (["certify-nonexist", "--m", order, "--n", "2"], None),
-    ]
-    for args, stdin in runs:
-        r = subprocess.run(
+
+    def run(args, stdin=None):
+        return subprocess.run(
             [sys.executable, "-m", "starfact.cli", *args],
             input=stdin,
             capture_output=True,
@@ -259,9 +257,30 @@ def test_group_order_above_the_maximum_exits_64(orders, group, H):
             preexec_fn=_limit_memory,
             timeout=10,
         )
+
+    runs = [
+        (["verify-starter", "-"], json.dumps(starter)),
+        (["verify-factorization", "-"], json.dumps(fact)),
+        (["search", "--group", group, "--H", H], None),
+        (["groups", "--order", order], None),
+        (["certify-nonexist", "--m", order, "--n", "2"], None),
+        (["construct", "--family", "prime-power", "--p", order, "--v", "2"], None),
+        (["construct", "--family", "prime-power", "--p", "5", "--v", order], None),
+    ]
+    for args, stdin in runs:
+        r = run(args, stdin)
         assert r.returncode == USAGE, (args, r.stderr)
         assert r.stderr.startswith("bad input: ") and r.stderr.count("\n") == 1
         assert "exceeds the maximum" in r.stderr
+    # classify factorizes m only for n = 2 and m = 1 mod 4; every other
+    # verdict needs no factorization and answers for any m.
+    r = run(["classify", "--m", order, "--n", "2"])
+    if int(order) % 4 == 1:
+        assert r.returncode == USAGE, r.stderr
+        assert r.stderr == f"bad input: group order {2 * int(order)} exceeds the maximum 1000000\n"
+    else:
+        assert r.returncode == OK, r.stderr
+        assert json.loads(r.stdout)["status"] in ("exists", "not_exists")
 
 
 @pytest.mark.parametrize(
@@ -461,6 +480,24 @@ def test_star_import_resolves_every_exported_name():
     exec("from starfact import *", {})
 
 
+def test_benchmark_traced_names_resolve():
+    # perfbench/tracer.py wraps each (module, function) in TRACED by name,
+    # so deleting one breaks `perfbench/run.py --trace 1`.  The file is read,
+    # not imported.
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text()).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TRACED"
+    ]
+    assert traced
+    for module, name in traced:
+        assert callable(getattr(importlib.import_module(f"starfact.{module}"), name, None)), (
+            module,
+            name,
+        )
+
+
 def test_p13_pipeline_artifacts_are_pinned(tmp_path):
     # The four artifacts of the p = 13 pipeline, pinned by the sha256
     # recorded while factors were still Edge objects written by json.dumps.
@@ -505,6 +542,20 @@ def _unpack_error(factors):
     raise AssertionError("the shape unpacks")
 
 
+def _json_error(text):
+    """The json module's own message for text that does not parse, or that
+    nests too deep to parse, taken from the running interpreter like
+    _unpack_error's."""
+    try:
+        json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        return str(exc)
+    raise AssertionError("the text parses")
+
+
+_DEEP = "[" * 200_000 + "]" * 200_000  # valid JSON, nested past any recursion limit
+
+
 @pytest.mark.parametrize(
     "path, value, message",
     [
@@ -521,35 +572,28 @@ def _unpack_error(factors):
         (("factors", 0, 0), [99, 1.5], "vertex index out of range"),
         (("factors", 0), [[0, 1.5], [0, 1, 2]], "vertex index must be an integer, got 1.5"),
         (("factors", 0), [[0, 1, 2], [0, 1.5]], _unpack_error([[[0, 1, 2]]])),
+        pytest.param((), _DEEP, _json_error(_DEEP), id="deeply-nested"),
     ],
 )
 def test_malformed_factorization_exits_64(tmp_path, capsys, path, value, message):
-    # The developed Z2 x Z6 factorization with one fault; each message the
-    # program writes itself was recorded while the loader still built Edge
-    # objects.
-    payload = factorization_payload(develop_factorization(starter_from_payload(_Z2Z6)))
-    target = payload
-    for key in path[:-1]:
-        target = target[key]
-    if value is _MISSING:
-        del target[path[-1]]
-    else:
-        target[path[-1]] = value
+    # The developed Z2 x Z6 factorization with one fault, or text that does
+    # not parse (empty path); each message the program writes itself was
+    # recorded while the loader still built Edge objects.
+    if path:
+        payload = factorization_payload(develop_factorization(starter_from_payload(_Z2Z6)))
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        if value is _MISSING:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        value = json.dumps(payload)
     fact = tmp_path / "fact.json"
-    fact.write_text(json.dumps(payload))
+    fact.write_text(value)
     for extra in ([], ["--invariance"]):
         assert main(["verify-factorization", str(fact), *extra]) == USAGE
         assert capsys.readouterr() == ("", f"bad input: {message}\n")
-
-
-def _json_error(text):
-    """The json module's own message for text that does not parse, taken
-    from the running interpreter like _unpack_error's."""
-    try:
-        json.loads(text)
-    except json.JSONDecodeError as exc:
-        return str(exc)
-    raise AssertionError("the text parses")
 
 
 @pytest.mark.parametrize(
@@ -568,11 +612,12 @@ def _json_error(text):
             _unpack_error([[[[0, 1], [0, 4], [1, 1]]]]),
         ),
         (("sets", 1, "edges", 1, 1), [0, 1.5], "coordinates must be integers, got (0, 1.5)"),
+        pytest.param((), _DEEP, _json_error(_DEEP), id="deeply-nested"),
     ],
 )
 def test_malformed_starter_exits_64(tmp_path, capsys, path, value, message):
-    # The Z2 x Z6 starter with one fault, or text that is not JSON at all
-    # (empty path); every command that loads a starter names the same fault.
+    # The Z2 x Z6 starter with one fault, or text that does not parse (empty
+    # path); every command that loads a starter names the same fault.
     if path:
         payload = copy.deepcopy(_Z2Z6)
         target = payload
@@ -585,6 +630,10 @@ def test_malformed_starter_exits_64(tmp_path, capsys, path, value, message):
         value = json.dumps(payload)
     starter = tmp_path / "starter.json"
     starter.write_text(value)
-    for command in ("verify-starter", "develop"):
-        assert main([command, str(starter)]) == USAGE
+    for command in (
+        ["verify-starter", str(starter)],
+        ["develop", str(starter)],
+        ["construct", "--family", "doubling", "--input", str(starter)],
+    ):
+        assert main(command) == USAGE
         assert capsys.readouterr() == ("", f"bad input: {message}\n")
