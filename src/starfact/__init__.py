@@ -32,10 +32,8 @@ from .groups import (
     subgroups_of_order,
 )
 from .search import (
-    BruteForceResult,
     CertificationResult,
     SearchOutcome,
-    brute_force_factorizations,
     certify_nonexistence,
     search_starter,
 )
@@ -100,9 +98,7 @@ __all__ = [
     "classify_existence",
     "SearchOutcome",
     "CertificationResult",
-    "BruteForceResult",
     "search_starter",
     "certify_nonexistence",
-    "brute_force_factorizations",
     "__version__",
 ]

@@ -14,7 +14,6 @@ tuples appear only in messages and in the starter JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .groups import AbelianGroup, Subgroup
 
@@ -35,10 +34,6 @@ class CayleyModel:
     m: int
     n: int
     omega: frozenset[int]
-
-    @property
-    def vertex_count(self) -> int:
-        return self.group.order
 
     @property
     def edge_count(self) -> int:
@@ -83,16 +78,10 @@ class CayleyModel:
         for u, cu in enumerate(coset):
             yield u, [v for v in range(u + 1, order) if coset[v] != cu]
 
-    @cached_property
-    def all_edges(self) -> tuple[tuple[int, int], ...]:
-        """Every edge as a (u, v) pair, ascending (neighbours_above)."""
-        return tuple((u, v) for u, above in self.neighbours_above() for v in above)
 
-
-def build_model(group: AbelianGroup, H: Subgroup) -> CayleyModel:
-    """Validate (group, H) and assemble the multipartite model."""
-    if H.group.cyclic_orders != group.cyclic_orders:
-        raise ValueError("H is not a subgroup of the given group")
+def build_model(H: Subgroup) -> CayleyModel:
+    """Validate H and assemble the multipartite model over H.group."""
+    group = H.group
     if H.order < 2:
         raise ValueError("H must have order at least 2 (parts of size >= 2)")
     if H.order >= group.order:
@@ -109,7 +98,7 @@ def build_model(group: AbelianGroup, H: Subgroup) -> CayleyModel:
 
 def export_edge_list(model: CayleyModel) -> str:
     """Plain-text edge list: one 'i j' line of vertex indices per edge,
-    ascending; the pairs of all_edges without building the tuple."""
+    ascending, as neighbours_above yields them."""
     names = [str(v) for v in range(model.group.order)]
     lines = []
     for u, above in model.neighbours_above():

@@ -153,11 +153,11 @@ def _cmd_develop(args) -> int:
 
 def _cmd_verify_factorization(args) -> int:
     fact = factorization_from_payload(_read_json(args.factorization))
-    report = verify_factorization(fact.model, fact)
+    report = verify_factorization(fact)
     payload = report.payload()
     passed = report.passed
     if args.invariance:
-        invariant = check_invariance(fact.model, fact)
+        invariant = check_invariance(fact)
         payload["invariant"] = invariant
         passed = passed and invariant
         payload["passed"] = passed
@@ -173,8 +173,7 @@ def _check_workers(args) -> None:
 def _cmd_search(args) -> int:
     _check_workers(args)
     group = _parse_group(args.group)
-    H = group.subgroup(_parse_generators(args.H, group.rank))
-    model = build_model(group, H)
+    model = build_model(group.subgroup(_parse_generators(args.H, group.rank)))
     outcome = search_starter(model, mode=args.mode, budget=args.budget)
     _write_text(args.out, canonical_json(outcome.payload()))
     _maybe_emit_edges(args, model)

@@ -113,7 +113,7 @@ def double_starter(starter: Starter) -> Starter:
         gens = [g + (0,) for g in sub.generators] + [(0,) * old_group.rank + (1,)]
         return group.subgroup(gens)
 
-    model = build_model(group, lift(starter.model.H))
+    model = build_model(lift(starter.model.H))
 
     plain_sets = []
     mixed_sets = []
@@ -217,8 +217,7 @@ def build_prime_power_starter(p: int, v: int) -> tuple[Starter, Subgroup]:
     params = PrimePowerParams.validate(p, v)
     q = p ** (v - 1)
     group = make_group([q, p, 2])
-    H = group.subgroup([(0, 0, 1)])
-    model = build_model(group, H)
+    model = build_model(group.subgroup([(0, 0, 1)]))
     A = group.subgroup([(1, 0, 0), (0, 1, 0)])
 
     printed = (2, 0)
@@ -262,15 +261,16 @@ def build_prime_power_starter(p: int, v: int) -> tuple[Starter, Subgroup]:
     )
 
 
-def complete_via_index2(model: CayleyModel, partial: Starter, A: Subgroup) -> Starter:
-    """Cover what the partial starter leaves uncovered, one singleton set per
-    leftover difference class.
+def complete_via_index2(partial: Starter, A: Subgroup) -> Starter:
+    """Cover what the partial starter leaves uncovered in partial.model, one
+    singleton set per leftover difference class.
 
     Requires every uncovered element to lie outside A (A has index 2).  A
     non-involution pair {w, -w} gets the long edge [identity, w] with
     companion A; an uncovered involution gets a short edge with the full
     group as companion.  An already-complete starter is returned unchanged.
     """
+    model = partial.model
     group = model.group
     if A.index != 2:
         raise ValueError(f"completion subgroup must have index 2, found {A.index}")
@@ -297,7 +297,7 @@ def complete_via_index2(model: CayleyModel, partial: Starter, A: Subgroup) -> St
 def construct_prime_power(p: int, v: int) -> Starter:
     """Build, complete, and verify the K_{p^v x 2} starter in one call."""
     partial, A = build_prime_power_starter(p, v)
-    starter = complete_via_index2(partial.model, partial, A)
+    starter = complete_via_index2(partial, A)
     report = verify_starter(starter)
     if not report.passed:
         raise ConstructionError(

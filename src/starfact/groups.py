@@ -62,7 +62,7 @@ class AbelianGroup:
         object.__setattr__(self, "cyclic_orders", orders)
         object.__setattr__(self, "_rows", [None] * order)  # see translation
 
-    @property
+    @cached_property
     def order(self) -> int:
         return prod(self.cyclic_orders)
 

@@ -19,7 +19,6 @@ from .starters import OneFactorization, Starter, StarterSet
 __all__ = [
     "canonical_json",
     "group_payload",
-    "group_from_payload",
     "generators_payload",
     "starter_payload",
     "starter_from_payload",
@@ -94,10 +93,6 @@ def group_payload(group: AbelianGroup) -> dict:
     return {"cyclic_orders": list(group.cyclic_orders)}
 
 
-def group_from_payload(payload: dict) -> AbelianGroup:
-    return make_group(payload["cyclic_orders"])
-
-
 def generators_payload(sub: Subgroup) -> list[list[int]]:
     """The wire format of a subgroup: its generators as coordinate lists."""
     return [list(g) for g in sub.generators]
@@ -125,8 +120,8 @@ def starter_payload(starter: Starter) -> dict:
 
 def _model_from_payload(payload: dict) -> CayleyModel:
     """The model of a starter or factorization payload: its group, then H."""
-    group = group_from_payload(payload["group"])
-    return build_model(group, subgroup_from_generators(group, payload["H_generators"]))
+    group = make_group(payload["group"]["cyclic_orders"])
+    return build_model(subgroup_from_generators(group, payload["H_generators"]))
 
 
 def starter_from_payload(payload: dict) -> Starter:
@@ -135,8 +130,12 @@ def starter_from_payload(payload: dict) -> Starter:
     index = group.index_of
     pair = model.pair
     sets = []
+    companions: dict[tuple, Subgroup] = {}  # closed once per generator list
     for raw in payload["sets"]:
-        sub = subgroup_from_generators(group, raw["subgroup_generators"])
+        gens = tuple(map(group.element, raw["subgroup_generators"]))
+        sub = companions.get(gens)
+        if sub is None:
+            sub = companions[gens] = subgroup_from_generators(group, gens)
         edges = (pair(index(u), index(v)) for u, v in raw["edges"])
         sets.append(StarterSet(tuple(sorted(edges)), sub))
     provenance = {k: v for k, v in payload.items() if k not in _STARTER_CORE_KEYS}

@@ -234,9 +234,11 @@ def develop_factorization(starter: Starter) -> OneFactorization:
     return OneFactorization(model, factors)
 
 
-def verify_factorization(model: CayleyModel, fact: OneFactorization) -> VerificationReport:
-    """Check factors are perfect matchings of legal edges, that they
-    partition the edge set, and that there are exactly mn - n of them."""
+def verify_factorization(fact: OneFactorization) -> VerificationReport:
+    """Check factors are perfect matchings of legal edges of fact.model,
+    that they partition its edge set, and that there are exactly mn - n of
+    them."""
+    model = fact.model
     c1 = ConditionVerdict("factors are perfect matchings of legal edges")
     c2 = ConditionVerdict("factors partition the edge set")
     c3 = ConditionVerdict("factor count equals mn - n")
@@ -274,18 +276,14 @@ def verify_factorization(model: CayleyModel, fact: OneFactorization) -> Verifica
     return VerificationReport(c1.ok and c2.ok and c3.ok, c1, c2, c3)
 
 
-def check_invariance(model: CayleyModel, fact: OneFactorization, exhaustive: bool = False) -> bool:
-    """True when translating any factor by any group element lands on a
-    factor.  Checking the standard generators suffices because translations
-    compose; exhaustive=True checks every group element anyway."""
-    group = model.group
+def check_invariance(fact: OneFactorization) -> bool:
+    """True when translating any factor by any element of fact.model.group
+    lands on a factor.  Only the standard generators are tried: every
+    translation is a composite of theirs."""
+    group = fact.model.group
     order = group.order
     keys = {tuple(u * order + v for u, v in factor) for factor in fact.factors}
-    if exhaustive:
-        shifts = range(1, group.order)  # every element but the identity, 0
-    else:
-        shifts = [group.index_of(g) for g in group.full_subgroup().generators]
-    rows = [group.translation(g) for g in shifts]
+    rows = [group.translation(group.index_of(g)) for g in group.full_subgroup().generators]
     for factor in fact.factors:
         us = [u for u, _ in factor]
         vs = [v for _, v in factor]

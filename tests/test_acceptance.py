@@ -11,6 +11,7 @@ import time
 from math import prod
 
 from coords import add, element_order, index, neg
+from oracles import brute_force_factorizations, every_translation_invariant
 from starfact.cayley import build_model
 from starfact.constructions import (
     classify_existence,
@@ -26,7 +27,6 @@ from starfact.groups import (
 )
 from starfact.search import (
     FOUND,
-    brute_force_factorizations,
     certify_nonexistence,
     search_starter,
 )
@@ -43,21 +43,21 @@ def _prime_power_artifacts(p: int) -> tuple[str, str]:
     starter = construct_prime_power(p, 2)
     assert verify_starter(starter).passed
     fact = develop_factorization(starter)
-    assert verify_factorization(starter.model, fact).passed
-    assert check_invariance(starter.model, fact)
+    assert verify_factorization(fact).passed
+    assert check_invariance(fact)
     return canonical_json(starter_payload(starter)), canonical_json(
         factorization_payload(fact)
     )
 
 
 def _doubling_artifacts() -> tuple[str, str]:
-    base = search_starter(build_model(make_group([12]), make_group([12]).subgroup([(4,)])))
+    base = search_starter(build_model(make_group([12]).subgroup([(4,)])))
     assert base.status == FOUND
     doubled = double_starter(base.witness)
     assert verify_starter(doubled).passed
     fact = develop_factorization(doubled)
-    assert verify_factorization(doubled.model, fact).passed
-    assert check_invariance(doubled.model, fact, exhaustive=True)
+    assert verify_factorization(fact).passed
+    assert every_translation_invariant(fact)
     return canonical_json(starter_payload(doubled)), canonical_json(
         factorization_payload(fact)
     )
@@ -79,8 +79,8 @@ def test_criterion_1_prime_power_p5_pipeline():
     assert len(fact.factors) == 48
     assert all(len(f) == 25 for f in fact.factors)
     assert sum(len(f) for f in fact.factors) == 1200
-    assert verify_factorization(starter.model, fact).passed
-    assert check_invariance(starter.model, fact)
+    assert verify_factorization(fact).passed
+    assert check_invariance(fact)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"{elapsed:.2f}s"
     print(f"criterion 1: PASS (p=5 pipeline, 48 x 25 factors, {elapsed:.2f}s)")
@@ -93,8 +93,8 @@ def test_criterion_2_prime_power_p13_pipeline():
     fact = develop_factorization(starter)
     assert len(fact.factors) == 336
     assert all(len(f) == 169 for f in fact.factors)
-    assert verify_factorization(starter.model, fact).passed
-    assert check_invariance(starter.model, fact)
+    assert verify_factorization(fact).passed
+    assert check_invariance(fact)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"{elapsed:.2f}s"
     print(f"criterion 2: PASS (p=13 pipeline, 336 x 169 factors, {elapsed:.2f}s)")
@@ -104,7 +104,7 @@ def test_criterion_3_doubling_pipeline():
     start = time.perf_counter()
     # small case: one long edge over Z_4 lifts to a 2 x 4 model
     g4 = make_group([4])
-    m4 = build_model(g4, g4.subgroup([(2,)]))
+    m4 = build_model(g4.subgroup([(2,)]))
     small = search_starter(m4)
     assert small.status == FOUND
     lifted = double_starter(small.witness)
@@ -112,7 +112,7 @@ def test_criterion_3_doubling_pipeline():
     fact = develop_factorization(lifted)
     assert len(fact.factors) == 4
     assert all(len(f) == 4 for f in fact.factors)
-    assert check_invariance(lifted.model, fact, exhaustive=True)
+    assert every_translation_invariant(fact)
     # larger case: a searched 4 x 3 starter lifts to 4 x 6
     _doubling_artifacts()
     elapsed = time.perf_counter() - start
@@ -163,7 +163,7 @@ def test_criterion_6_search_matches_brute_force_through_order_12():
                 if order % size:
                     continue
                 for H in subgroups_of_order(group, size):
-                    model = build_model(group, H)
+                    model = build_model(H)
                     found = search_starter(model).status == FOUND
                     oracle = brute_force_factorizations(
                         model, require_invariance=True, stop_after=1

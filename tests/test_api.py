@@ -1,0 +1,70 @@
+"""The library's public surface: the README tour runs as written, and every
+name a module exports has a caller in the package or the benchmark."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_library_tour_runs():
+    text = (ROOT / "README.md").read_text()
+    tour = text.split("## Library tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md (Library tour)", "exec"), {})
+
+
+def _reads(tree, skip=None):
+    """The names tree reads, as loaded names and attributes, outside the
+    statement skip."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _defines(stmt, name: str) -> bool:
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return stmt.name == name
+    if isinstance(stmt, ast.Assign):
+        return any(getattr(t, "id", None) == name for t in stmt.targets)
+    return False
+
+
+def test_every_export_has_a_caller():
+    # __init__ only re-exports, so a name it names is not thereby used; the
+    # tests are not callers either, since an API kept for them alone belongs
+    # with them.
+    modules = {
+        p: ast.parse(p.read_text())
+        for p in sorted((ROOT / "src" / "starfact").glob("*.py"))
+        if p.name != "__init__.py"
+    }
+    reads = {p: _reads(tree) for p, tree in modules.items()}
+    bench = set().union(
+        *(_reads(ast.parse(p.read_text())) for p in sorted((ROOT / "perfbench").glob("*.py")))
+    )
+    unused = []
+    for path, tree in modules.items():
+        exports = [
+            name
+            for stmt in tree.body
+            if isinstance(stmt, ast.Assign) and _defines(stmt, "__all__")
+            for name in ast.literal_eval(stmt.value)
+        ]
+        for name in exports:
+            (definition,) = [stmt for stmt in tree.body if _defines(stmt, name)]
+            callers = [other for other in modules if other != path and name in reads[other]]
+            if not (callers or name in bench or name in _reads(tree, skip=definition)):
+                unused.append(f"{path.name}: {name}")
+    assert not unused, unused

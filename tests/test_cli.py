@@ -44,7 +44,7 @@ def run_cli(*args, stdin=None):
 
 def golden_starter_json() -> str:
     g = make_group([4])
-    m = build_model(g, g.subgroup([(2,)]))
+    m = build_model(g.subgroup([(2,)]))
     st = Starter(m, (StarterSet((m.edge(0, 1),), g.subgroup([(2,)])),))
     return canonical_json(starter_payload(st))
 
@@ -433,7 +433,7 @@ def test_messages_print_coordinates_on_a_noncyclic_group():
     partial = starter_from_payload(_z2z6_tampered())
     A = partial.model.group.subgroup([(0, 1)])
     with pytest.raises(ConstructionError) as exc:
-        complete_via_index2(partial.model, partial, A)
+        complete_via_index2(partial, A)
     assert str(exc.value) == (
         "partial starter cannot be completed: set 0: illegal edge (0, 0)~(1, 0);"
         " repeats differences: [(1, 1), (1, 5)];"

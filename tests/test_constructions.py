@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import every_translation_invariant
 from starfact.cayley import build_model
 from starfact.constructions import (
     ConstructionError,
@@ -82,7 +83,7 @@ def test_underdetermined_slots_resolved_p13():
 
 def test_completion_p5():
     partial, A = build_prime_power_starter(5, 2)
-    starter = complete_via_index2(partial.model, partial, A)
+    starter = complete_via_index2(partial, A)
     assert len(starter.sets) == 8
     assert starter.provenance["completed_pairs"] == 4
     singles = starter.sets[4:]
@@ -106,8 +107,8 @@ def test_construct_prime_power_p5_end_to_end():
     fact = develop_factorization(starter)
     assert len(fact.factors) == 48
     assert all(len(f) == 25 for f in fact.factors)
-    assert verify_factorization(starter.model, fact).passed
-    assert check_invariance(starter.model, fact)
+    assert verify_factorization(fact).passed
+    assert check_invariance(fact)
 
 
 def test_construct_prime_power_p13_shape():
@@ -133,11 +134,11 @@ def test_prime_power_rejects_bad_parameters():
 
 def test_completion_handles_involutions_and_passthrough():
     g = make_group([2, 2])
-    model = build_model(g, g.subgroup([(0, 1)]))
+    model = build_model(g.subgroup([(0, 1)]))
     A = g.subgroup([(1, 0)])
     covered = StarterSet((model.edge(0, 2),), g.full_subgroup())  # (0, 0) ~ (1, 0)
     partial = Starter(model, (covered,))
-    done = complete_via_index2(model, partial, A)
+    done = complete_via_index2(partial, A)
     assert len(done.sets) == 2
     extra = done.sets[1]
     assert extra.edges[0] == model.edge(0, 3)  # (0, 0) ~ (1, 1)
@@ -145,29 +146,29 @@ def test_completion_handles_involutions_and_passthrough():
     # difference inside the companion), so the full group steps in
     assert extra.subgroup.order == 4
     assert verify_starter(done).passed
-    assert complete_via_index2(model, done, A) is done
+    assert complete_via_index2(done, A) is done
 
 
 def test_completion_error_paths():
     g = make_group([2, 2])
-    model = build_model(g, g.subgroup([(0, 1)]))
+    model = build_model(g.subgroup([(0, 1)]))
     A = g.subgroup([(1, 0)])
     empty = Starter(model, ())
     with pytest.raises(ConstructionError, match="inside the index-2"):
-        complete_via_index2(model, empty, A)  # (1, 0) uncovered but in A
+        complete_via_index2(empty, A)  # (1, 0) uncovered but in A
     with pytest.raises(ValueError, match="index 2"):
-        complete_via_index2(model, empty, g.full_subgroup())
+        complete_via_index2(empty, g.full_subgroup())
 
-    m4 = build_model(make_group([4]), make_group([4]).subgroup([(2,)]))
+    m4 = build_model(make_group([4]).subgroup([(2,)]))
     e = m4.edge(0, 1)
     comp = m4.group.subgroup([(2,)])
     dup = Starter(m4, (StarterSet((e,), comp), StarterSet((e,), comp)))
     with pytest.raises(ConstructionError, match="repeats differences"):
-        complete_via_index2(m4, dup, comp)
+        complete_via_index2(dup, comp)
 
 
 def test_doubling_golden():
-    m4 = build_model(make_group([4]), make_group([4]).subgroup([(2,)]))
+    m4 = build_model(make_group([4]).subgroup([(2,)]))
     base = Starter(m4, (StarterSet((m4.edge(0, 1),), m4.group.subgroup([(2,)])),))
     doubled = double_starter(base)
     assert list(doubled.model.group.cyclic_orders) == [4, 2]
@@ -186,11 +187,11 @@ def test_doubling_golden():
     fact = develop_factorization(doubled)
     assert len(fact.factors) == 4
     assert all(len(f) == 4 for f in fact.factors)
-    assert check_invariance(doubled.model, fact, exhaustive=True)
+    assert every_translation_invariant(fact)
 
 
 def test_doubling_rejects_bad_input():
-    m4 = build_model(make_group([4]), make_group([4]).subgroup([(2,)]))
+    m4 = build_model(make_group([4]).subgroup([(2,)]))
     invalid = Starter(m4, (StarterSet((m4.edge(0, 1),), m4.group.subgroup([])),))
     with pytest.raises(InvalidStarterError):
         double_starter(invalid)

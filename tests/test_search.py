@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from oracles import brute_force_factorizations, every_translation_invariant
 from starfact.cayley import build_model
 from starfact.constructions import classify_existence
 from starfact.groups import enumerate_abelian_groups, make_group, subgroups_of_order
@@ -17,13 +18,11 @@ from starfact.search import (
     BUDGET_EXCEEDED,
     FOUND,
     NONE_EXISTS,
-    brute_force_factorizations,
     certify_nonexistence,
     search_starter,
 )
 from starfact.serialize import canonical_json, factorization_payload
 from starfact.starters import (
-    check_invariance,
     develop_factorization,
     verify_factorization,
     verify_starter,
@@ -32,7 +31,7 @@ from starfact.starters import (
 
 def _model(orders, h_gens):
     g = make_group(orders)
-    return build_model(g, g.subgroup(h_gens))
+    return build_model(g.subgroup(h_gens))
 
 
 def test_found_on_z4():
@@ -60,7 +59,7 @@ def test_found_on_klein_group():
     out = search_starter(_model([2, 2], [(1, 0)]))
     assert out.status == FOUND
     fact = develop_factorization(out.witness)
-    assert check_invariance(out.witness.model, fact, exhaustive=True)
+    assert every_translation_invariant(fact)
 
 
 def test_budget_ladder():
@@ -216,9 +215,9 @@ def test_brute_force_counts():
         assert (r_plain.count, r_inv.count) == (plain, invariant), (orders, h_gens)
         assert r_plain.exhausted and r_inv.exhausted
         for fact in r_plain.witnesses + r_inv.witnesses:
-            assert verify_factorization(m, fact).passed
+            assert verify_factorization(fact).passed
         for fact in r_inv.witnesses:
-            assert check_invariance(m, fact, exhaustive=True)
+            assert every_translation_invariant(fact)
 
 
 def test_brute_force_invariant_mode_agrees_with_literal_filter():
@@ -229,7 +228,7 @@ def test_brute_force_invariant_mode_agrees_with_literal_filter():
         filtered = [
             f
             for f in everything.witnesses
-            if check_invariance(m, f, exhaustive=True)
+            if every_translation_invariant(f)
         ]
         direct = brute_force_factorizations(m, require_invariance=True)
         assert direct.count == len(filtered)
@@ -243,7 +242,7 @@ def test_brute_force_stop_after_and_cap():
     assert len(partial.witnesses) == 2
     big = make_group([16])
     with pytest.raises(ValueError, match="capped"):
-        brute_force_factorizations(build_model(big, big.subgroup([(8,)])))
+        brute_force_factorizations(build_model(big.subgroup([(8,)])))
 
 
 def test_search_agrees_with_brute_force_small_orders():
@@ -254,7 +253,7 @@ def test_search_agrees_with_brute_force_small_orders():
                 if order % size:
                     continue
                 for H in subgroups_of_order(group, size):
-                    m = build_model(group, H)
+                    m = build_model(H)
                     found = search_starter(m).status == FOUND
                     positive = (
                         brute_force_factorizations(

@@ -36,18 +36,18 @@ def _artifacts():
         out[f"starter p={p}"] = starter_payload(starter)
         out[f"factorization p={p}"] = factorization_payload(develop_factorization(starter))
     g = make_group([12])
-    doubled = double_starter(search_starter(build_model(g, g.subgroup([(4,)]))).witness)
+    doubled = double_starter(search_starter(build_model(g.subgroup([(4,)]))).witness)
     out["doubled witness"] = starter_payload(doubled)
     out["doubled factorization"] = factorization_payload(develop_factorization(doubled))
     out["certify"] = certify_nonexistence(3, 4, budget=20000).payload()
     g = make_group([2, 6])
-    model = build_model(g, g.subgroup([(1, 0)]))
+    model = build_model(g.subgroup([(1, 0)]))
     out["search"] = search_starter(model).payload()
     out["search, all"] = search_starter(model, mode="all", budget=300).payload()
     classify = classify_existence(7, 6).payload(7, 6)
     classify["certificate"] = parity_nonexistence(7, 6).payload()
     out["classify"] = classify
-    m = build_model(make_group([4]), make_group([4]).subgroup([(2,)]))
+    m = build_model(make_group([4]).subgroup([(2,)]))
     broken = Starter(m, (StarterSet((m.edge(0, 1),), m.group.subgroup([])),))
     out["verify report"] = verify_starter(broken).payload()
     return out

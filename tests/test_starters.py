@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from oracles import every_translation_invariant
 from starfact.cayley import build_model
 from starfact.groups import enumerate_abelian_groups, factorize, make_group, subgroups_of_order
 from starfact.search import search_starter
@@ -31,7 +32,7 @@ from starfact.starters import (
 
 def _model(orders, h_gens):
     g = make_group(orders)
-    return build_model(g, g.subgroup(h_gens))
+    return build_model(g.subgroup(h_gens))
 
 
 def _golden_starter():
@@ -94,10 +95,10 @@ def test_short_edge_companion_membership():
 def test_develop_golden():
     fact = develop_factorization(_golden_starter())
     assert fact.factors == (((0, 1), (2, 3)), ((0, 3), (1, 2)))
-    report = verify_factorization(fact.model, fact)
+    report = verify_factorization(fact)
     assert report.passed
-    assert check_invariance(fact.model, fact)
-    assert check_invariance(fact.model, fact, exhaustive=True)
+    assert check_invariance(fact)
+    assert every_translation_invariant(fact)
 
 
 def test_develop_rejects_invalid_starter():
@@ -119,17 +120,17 @@ def test_verify_factorization_failures():
     m = fact.model
 
     missing = OneFactorization(m, fact.factors[:1])
-    report = verify_factorization(m, missing)
+    report = verify_factorization(missing)
     assert not report.passed
     assert not report.condition3.ok  # wrong factor count
     assert any("expected 2" in v for v in report.condition3.violations)
 
     doubled = OneFactorization(m, (fact.factors[0], fact.factors[0]))
-    report = verify_factorization(m, doubled)
+    report = verify_factorization(doubled)
     assert not report.condition2.ok  # repeated edges
 
     tampered = OneFactorization(m, (fact.factors[0], fact.factors[0][:1]))
-    report = verify_factorization(m, tampered)
+    report = verify_factorization(tampered)
     assert not report.condition1.ok  # uncovered vertices
 
 
@@ -137,8 +138,8 @@ def test_non_invariant_factor_set_detected():
     m = _model([4], [(2,)])
     lone = tuple(sorted((m.edge(0, 1), m.edge(2, 3))))
     fact = OneFactorization(m, (lone,))
-    assert not check_invariance(m, fact)
-    assert not check_invariance(m, fact, exhaustive=True)
+    assert not check_invariance(fact)
+    assert not every_translation_invariant(fact)
 
 
 def test_starter_json_golden():
@@ -200,7 +201,7 @@ def test_factorization_payload_golden_and_roundtrip():
     }
     back = factorization_from_payload(json.loads(canonical_json(payload)))
     assert back.factors == fact.factors
-    assert verify_factorization(back.model, back).passed
+    assert verify_factorization(back).passed
 
 
 def test_bad_payloads_raise():
@@ -219,8 +220,8 @@ def test_searched_witnesses_develop_cleanly():
         assert outcome.status == "found", (orders, h_gens)
         fact = develop_factorization(outcome.witness)
         assert len(fact.factors) == m.group.order - m.n
-        assert verify_factorization(m, fact).passed
-        assert check_invariance(m, fact, exhaustive=True)
+        assert verify_factorization(fact).passed
+        assert every_translation_invariant(fact)
 
 
 def test_witness_json_round_trips_are_byte_stable():
@@ -237,7 +238,7 @@ def test_witness_json_round_trips_are_byte_stable():
                 if order % size:
                     continue
                 for H in subgroups_of_order(group, size):
-                    outcome = search_starter(build_model(group, H))
+                    outcome = search_starter(build_model(H))
                     if outcome.status != "found":
                         continue
                     primes = [p for n in group.cyclic_orders for p, _ in factorize(n)]
