@@ -5,7 +5,8 @@ Cay(G, Omega) with Omega = G minus H; the m = |G|/n parts are the cosets
 of H.  An edge is an ascending (u, v) pair of vertex indices.  It is
 *short* when its difference group.difference(u, v) is an involution (both
 differences coincide) and *long* otherwise; the kind is read off the pair
-where it matters and never stored.
+where it matters and never stored.  pair(u, v) checks the indices and
+orders them; edge(u, v) also refuses a pair whose difference lies in H.
 
 Vertices, differences and edges are vertex indices (see groups); coordinate
 tuples appear only in messages and in the starter JSON.
@@ -41,9 +42,12 @@ class CayleyModel:
 
     def edge(self, u: int, v: int) -> tuple[int, int]:
         """The pair, validated against the model (ends in different parts)."""
-        e = self.pair(u, v)
-        self.edge_difference(e)  # raises ValueError for an illegal edge
-        return e
+        u, v = self.pair(u, v)
+        d = self.group.difference(u, v)
+        if d in self.H.elements:
+            el = self.group.elements()
+            raise ValueError(f"illegal edge {el[u]} ~ {el[v]}: difference {el[d]} lies in H")
+        return u, v
 
     def pair(self, u: int, v: int) -> tuple[int, int]:
         """(u, v) in ascending order, after the index checks every edge read
@@ -59,16 +63,6 @@ class CayleyModel:
         if u == v:
             raise ValueError(f"degenerate edge at {self.group.elements()[u]}")
         return (u, v) if u < v else (v, u)
-
-    def edge_difference(self, e: tuple[int, int]) -> frozenset[int]:
-        """{u-v, v-u} for a long edge (u, v), the single involution for a
-        short one."""
-        u, v = e
-        d = self.group.difference(u, v)
-        if d in self.H.elements:
-            el = self.group.elements()
-            raise ValueError(f"illegal edge {el[u]} ~ {el[v]}: difference {el[d]} lies in H")
-        return frozenset({d, self.group.negs[d]})
 
     def neighbours_above(self):
         """(u, [v > u in another part]) for each vertex u in turn: every

@@ -29,8 +29,10 @@ from .constructions import (
 from .groups import all_subgroups, enumerate_abelian_groups, make_group
 from .search import (
     BUDGET_EXCEEDED,
+    CERTIFIED,
     FOUND,
     NONE_EXISTS,
+    WITNESS,
     certify_nonexistence,
     search_starter,
 )
@@ -56,6 +58,15 @@ EX_FAIL = 1
 EX_NONE = 2
 EX_BUDGET = 3
 EX_USAGE = 64
+
+# search statuses, then certify-nonexist statuses
+_STATUS_EXIT = {
+    FOUND: EX_OK,
+    NONE_EXISTS: EX_NONE,
+    BUDGET_EXCEEDED: EX_BUDGET,
+    WITNESS: EX_OK,
+    CERTIFIED: EX_NONE,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,22 +188,14 @@ def _cmd_search(args) -> int:
     outcome = search_starter(model, mode=args.mode, budget=args.budget)
     _write_text(args.out, canonical_json(outcome.payload()))
     _maybe_emit_edges(args, model)
-    if outcome.status == FOUND:
-        return EX_OK
-    if outcome.status == NONE_EXISTS:
-        return EX_NONE
-    return EX_BUDGET
+    return _STATUS_EXIT[outcome.status]
 
 
 def _cmd_certify_nonexist(args) -> int:
     _check_workers(args)
     result = certify_nonexistence(args.m, args.n, budget=args.budget)
     _write_text(args.out, canonical_json(result.payload()))
-    if result.status == "certified":
-        return EX_NONE
-    if result.status == "witness":
-        return EX_OK
-    return EX_BUDGET
+    return _STATUS_EXIT[result.status]
 
 
 def _cmd_classify(args) -> int:

@@ -24,9 +24,7 @@ from .starters import (
     InvalidStarterError,
     Starter,
     StarterSet,
-    check_coset_transversals,
-    check_short_edge_membership,
-    difference_counts,
+    scan_sets,
     verify_starter,
 )
 
@@ -190,14 +188,13 @@ def _partial_report(model: CayleyModel, sets, A: Subgroup) -> tuple[list[int], l
     that keeps it from completing through A: an illegal edge, a repeated
     difference, a broken condition 2 or 3, or an uncovered difference in A."""
     el = model.group.elements()
-    counts, illegal = difference_counts(model, sets)
-    problems = [f"set {i}: illegal edge {el[u]}~{el[v]}" for i, (u, v) in illegal]
-    dups = sorted(el[d] for d, c in counts.items() if c > 1)
+    counts, illegal, c2, c3 = scan_sets(model, sets)
+    problems = [f"set {i}: illegal edge {el[u]}~{el[v]}" for i, u, v, _ in illegal]
+    dups = [el[d] for d, c in enumerate(counts) if c > 1]  # index order is lexicographic
     if dups:
         problems.append(f"repeats differences: {dups[:6]}")
-    problems += check_coset_transversals(model, sets).violations
-    problems += check_short_edge_membership(model, sets).violations
-    uncovered = sorted(d for d in model.omega if d not in counts)
+    problems += c2.violations + c3.violations
+    uncovered = [d for d in sorted(model.omega) if not counts[d]]
     inside = [el[d] for d in uncovered if d in A.elements]
     if inside:
         problems.append(f"uncovered differences inside the index-2 subgroup: {inside[:6]}")

@@ -45,6 +45,8 @@ __all__ = [
 FOUND = "found"
 NONE_EXISTS = "none_exists"
 BUDGET_EXCEEDED = "budget_exceeded"
+CERTIFIED = "certified"
+WITNESS = "witness"
 
 _MODES = ("first", "exhaust", "all")
 
@@ -78,7 +80,7 @@ class _Ctx:
 
     fits maps (companion, w, hit) to the placements of difference w that a
     set of that companion whose endpoints already hit the cosets in hit can
-    take, as (hit | mark, edge) pairs in _placements order.  It starts empty
+    take, as (hit | mark, edge) pairs in _fill's order.  It starts empty
     and fills as the walk asks; a fresh set reads the entry with hit 0."""
 
     def __init__(self, model: CayleyModel):
@@ -88,7 +90,7 @@ class _Ctx:
         self.invol = group.involutions
         self.omega_ids = sorted(model.omega)
         self.omega_mask = sum(1 << i for i in self.omega_ids)
-        # A plain list, since _placements reads one row per call.
+        # A plain list, since _fill reads one row per call.
         self.rows = [group.translation(w) if c else None for w, c in enumerate(model.H.coset_of)]
 
         self.companions = sorted(group.subgroups, key=lambda s: (-s.order, s.sorted_elements))
@@ -102,29 +104,24 @@ class _Ctx:
         self.fits: dict[tuple[int, int, int], tuple] = {}  # filled by _fill
 
 
-def _placements(ctx: _Ctx, comp: int, w: int):
-    """(coset mark, edge) for each edge realizing difference w, by ascending
-    x.  An involution's edge {x, x + w} is listed once, from its lesser
-    endpoint; any other difference gives one edge per x.  The mark holds the
-    cosets of the companion that the endpoints lie in: one coset for a short
-    edge (w lies in the companion), two for a long one."""
-    coset = ctx.companions[comp].coset_of
-    row = ctx.rows[w]
-    inv = w in ctx.invol
-    for x, y in enumerate(row):
-        if x < y:
-            yield 1 << coset[x] | 1 << coset[y], (x, y)
-        elif not inv:
-            yield 1 << coset[x] | 1 << coset[y], (y, x)
-
-
 def _fill(ctx: _Ctx, key: tuple[int, int, int]) -> tuple:
     """Compute and keep ctx.fits[key]: for key (companion, w, hit), the
-    (hit | mark, edge) pairs of the placements whose mark misses hit."""
+    (hit | mark, edge) pairs of the edges realizing difference w whose mark
+    misses hit, by ascending x.  An involution's edge {x, x + w} is listed
+    once, from its lesser endpoint; any other difference gives one edge per
+    x.  The mark holds the cosets of the companion that the endpoints lie
+    in: one coset for a short edge (w lies in the companion), two for a
+    long one."""
     comp, w, hit = key
-    fits = ctx.fits[key] = tuple(
-        (hit | mark, edge) for mark, edge in _placements(ctx, comp, w) if not mark & hit
-    )
+    coset = ctx.companions[comp].coset_of
+    inv = w in ctx.invol
+    fits = []
+    for x, y in enumerate(ctx.rows[w]):
+        if x < y or not inv:
+            mark = 1 << coset[x] | 1 << coset[y]
+            if not mark & hit:
+                fits.append((hit | mark, (x, y) if x < y else (y, x)))
+    fits = ctx.fits[key] = tuple(fits)
     return fits
 
 
@@ -333,8 +330,8 @@ def certify_nonexistence(m: int, n: int, budget: int | None = None) -> Certifica
                 }
             )
             if outcome.status == FOUND:
-                return CertificationResult(m, n, "witness", tuple(pairs), outcome.witness)
+                return CertificationResult(m, n, WITNESS, tuple(pairs), outcome.witness)
             if outcome.status == BUDGET_EXCEEDED:
                 exceeded = True
-    status = BUDGET_EXCEEDED if exceeded else "certified"
+    status = BUDGET_EXCEEDED if exceeded else CERTIFIED
     return CertificationResult(m, n, status, tuple(pairs), None)

@@ -15,8 +15,10 @@ translation.
 
 Every edge, in a starter set or a factor, is a (u, v) vertex-index pair
 with u < v.  An edge is short when group.difference(u, v) is an
-involution; conditions 2 and 3 test that where they need it.  A
-one-factorization's factors are sorted tuples of pairs: develop, verify
+involution.  scan_sets reads each starter edge's difference once and
+judges all three conditions from it; verify_starter and the
+constructions' post-check both format their messages from that one pass.
+A one-factorization's factors are sorted tuples of pairs: develop, verify
 and invariance translate and count them through the group's translation
 rows, naming a pair by the code u * order + v where it must be sorted or
 looked up.
@@ -113,83 +115,70 @@ class InvalidStarterError(ValueError):
         self.report = report
 
 
-def difference_counts(
-    model: CayleyModel, sets
-) -> tuple[Counter[int], list[tuple[int, tuple[int, int]]]]:
-    """How often the legal edges of the sets cover each difference, and the
-    (set number, edge) of every illegal edge, which covers nothing."""
-    counts: Counter[int] = Counter()
-    illegal: list[tuple[int, tuple[int, int]]] = []
-    for i, sset in enumerate(sets):
-        for e in sset.edges:
-            try:
-                counts.update(model.edge_difference(e))
-            except ValueError:
-                illegal.append((i, e))
-    return counts, illegal
+def scan_sets(model: CayleyModel, sets):
+    """One pass over the edges of sets, reading each edge's difference once.
 
-
-def check_difference_cover(model: CayleyModel, sets) -> ConditionVerdict:
-    verdict = ConditionVerdict("condition 1 (differences cover Omega exactly once)")
-    counts, illegal = difference_counts(model, sets)
-    el = model.group.elements()
-    for i, (u, v) in illegal:
-        d = el[model.group.difference(u, v)]
-        verdict.fail(f"set {i}: edge {el[u]}~{el[v]} is illegal (difference {d} in H)")
-    for d in sorted(counts):
-        if counts[d] > 1:
-            verdict.fail(f"difference {el[d]} covered {counts[d]} times")
-    for d in sorted(model.omega):
-        if d not in counts:
-            verdict.fail(f"difference {el[d]} not covered")
-    return verdict
-
-
-def check_coset_transversals(model: CayleyModel, sets) -> ConditionVerdict:
-    """Both endpoints of a long edge are marked, only the lesser endpoint of
-    a short one.  Either endpoint of a short edge lies in the same coset of
-    any subgroup containing its difference, so the choice is safe.  No
-    legality check, so verifiers can report an illegal edge's other faults
-    too."""
-    verdict = ConditionVerdict("condition 2 (marked endpoints form coset transversals)")
+    Returns (counts, illegal, condition2, condition3): how often the legal
+    edges cover each difference, as a list indexed by difference; the (set
+    number, u, v, difference) of every illegal edge, which covers nothing;
+    and the verdicts on conditions 2 and 3.  Condition 2 marks both
+    endpoints of a long edge and only the lesser endpoint of a short one:
+    either endpoint of a short edge lies in the same coset of any subgroup
+    containing its difference, so the choice is safe.  Conditions 2 and 3
+    judge illegal edges too, so a verifier reports their other faults."""
     group = model.group
     el = group.elements()
+    negs = group.negs
+    invol = group.involutions
+    in_h = model.H.elements
+    counts = [0] * group.order
+    illegal: list[tuple[int, int, int, int]] = []
+    c2 = ConditionVerdict("condition 2 (marked endpoints form coset transversals)")
+    c3 = ConditionVerdict("condition 3 (short-edge differences lie in the companion)")
     for i, sset in enumerate(sets):
         sub = sset.subgroup
+        coset = sub.coset_of
         hits = [0] * sub.index
         for u, v in sset.edges:
-            hits[sub.coset_of[u]] += 1
-            if group.difference(u, v) not in group.involutions:
-                hits[sub.coset_of[v]] += 1
-        for r, count in zip(sub.coset_reps, hits):
-            if count != 1:
-                verdict.fail(
-                    f"set {i}: coset of {el[r]} has {count} marked endpoints"
-                    f" (companion order {sub.order})"
-                )
-    return verdict
-
-
-def check_short_edge_membership(model: CayleyModel, sets) -> ConditionVerdict:
-    verdict = ConditionVerdict("condition 3 (short-edge differences lie in the companion)")
-    group = model.group
-    el = group.elements()
-    for i, sset in enumerate(sets):
-        for u, v in sset.edges:
             d = group.difference(u, v)
-            if d in group.involutions and d not in sset.subgroup.elements:
-                verdict.fail(
+            hits[coset[u]] += 1
+            short = d in invol
+            if not short:
+                hits[coset[v]] += 1
+            if d in in_h:
+                illegal.append((i, u, v, d))
+            else:
+                counts[d] += 1
+                if not short:
+                    counts[negs[d]] += 1
+            if short and d not in sub.elements:
+                c3.fail(
                     f"set {i}: short edge {el[u]}~{el[v]} has difference {el[d]}"
                     " outside its companion subgroup"
                 )
-    return verdict
+        for r, count in zip(sub.coset_reps, hits):
+            if count != 1:
+                c2.fail(
+                    f"set {i}: coset of {el[r]} has {count} marked endpoints"
+                    f" (companion order {sub.order})"
+                )
+    return counts, illegal, c2, c3
 
 
 def verify_starter(starter: Starter) -> VerificationReport:
     """Check the three starter conditions, reporting every violation."""
-    c1 = check_difference_cover(starter.model, starter.sets)
-    c2 = check_coset_transversals(starter.model, starter.sets)
-    c3 = check_short_edge_membership(starter.model, starter.sets)
+    model = starter.model
+    counts, illegal, c2, c3 = scan_sets(model, starter.sets)
+    el = model.group.elements()
+    c1 = ConditionVerdict("condition 1 (differences cover Omega exactly once)")
+    for i, u, v, d in illegal:
+        c1.fail(f"set {i}: edge {el[u]}~{el[v]} is illegal (difference {el[d]} in H)")
+    for d, count in enumerate(counts):
+        if count > 1:
+            c1.fail(f"difference {el[d]} covered {count} times")
+    for d in sorted(model.omega):
+        if not counts[d]:
+            c1.fail(f"difference {el[d]} not covered")
     return VerificationReport(c1.ok and c2.ok and c3.ok, c1, c2, c3)
 
 

@@ -1,17 +1,20 @@
 """Test-only oracles, written apart from the package's algorithms.
 
-The search, the develop step and the invariance check are cross-checked
-against these: a brute-force count of one-factorizations with no starter
-theory, the model's edges as one tuple, and invariance under every
-translation rather than the standard generators alone.
+The search, the develop step, the invariance check and the starter
+verifier are cross-checked against these: a brute-force count of
+one-factorizations with no starter theory, the model's edges as one tuple,
+invariance under every translation rather than the standard generators
+alone, and a reference verifier that checks each starter condition in a
+pass of its own.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from starfact.cayley import CayleyModel
-from starfact.starters import OneFactorization
+from starfact.starters import ConditionVerdict, OneFactorization, Starter, VerificationReport
 
 _BRUTE_FORCE_CAP = 12
 
@@ -19,6 +22,97 @@ _BRUTE_FORCE_CAP = 12
 def all_edges(model: CayleyModel) -> tuple[tuple[int, int], ...]:
     """Every edge as a (u, v) pair, ascending (neighbours_above)."""
     return tuple((u, v) for u, above in model.neighbours_above() for v in above)
+
+
+def edge_difference(model: CayleyModel, e: tuple[int, int]) -> frozenset[int]:
+    """{u-v, v-u} for a long edge (u, v), the single involution for a short
+    one."""
+    u, v = e
+    d = model.group.difference(u, v)
+    if d in model.H.elements:
+        el = model.group.elements()
+        raise ValueError(f"illegal edge {el[u]} ~ {el[v]}: difference {el[d]} lies in H")
+    return frozenset({d, model.group.negs[d]})
+
+
+def difference_counts(
+    model: CayleyModel, sets
+) -> tuple[Counter[int], list[tuple[int, tuple[int, int]]]]:
+    """How often the legal edges of the sets cover each difference, and the
+    (set number, edge) of every illegal edge, which covers nothing."""
+    counts: Counter[int] = Counter()
+    illegal: list[tuple[int, tuple[int, int]]] = []
+    for i, sset in enumerate(sets):
+        for e in sset.edges:
+            try:
+                counts.update(edge_difference(model, e))
+            except ValueError:
+                illegal.append((i, e))
+    return counts, illegal
+
+
+def check_difference_cover(model: CayleyModel, sets) -> ConditionVerdict:
+    verdict = ConditionVerdict("condition 1 (differences cover Omega exactly once)")
+    counts, illegal = difference_counts(model, sets)
+    el = model.group.elements()
+    for i, (u, v) in illegal:
+        d = el[model.group.difference(u, v)]
+        verdict.fail(f"set {i}: edge {el[u]}~{el[v]} is illegal (difference {d} in H)")
+    for d in sorted(counts):
+        if counts[d] > 1:
+            verdict.fail(f"difference {el[d]} covered {counts[d]} times")
+    for d in sorted(model.omega):
+        if d not in counts:
+            verdict.fail(f"difference {el[d]} not covered")
+    return verdict
+
+
+def check_coset_transversals(model: CayleyModel, sets) -> ConditionVerdict:
+    """Both endpoints of a long edge are marked, only the lesser endpoint of
+    a short one.  Either endpoint of a short edge lies in the same coset of
+    any subgroup containing its difference, so the choice is safe.  No
+    legality check, so verifiers can report an illegal edge's other faults
+    too."""
+    verdict = ConditionVerdict("condition 2 (marked endpoints form coset transversals)")
+    group = model.group
+    el = group.elements()
+    for i, sset in enumerate(sets):
+        sub = sset.subgroup
+        hits = [0] * sub.index
+        for u, v in sset.edges:
+            hits[sub.coset_of[u]] += 1
+            if group.difference(u, v) not in group.involutions:
+                hits[sub.coset_of[v]] += 1
+        for r, count in zip(sub.coset_reps, hits):
+            if count != 1:
+                verdict.fail(
+                    f"set {i}: coset of {el[r]} has {count} marked endpoints"
+                    f" (companion order {sub.order})"
+                )
+    return verdict
+
+
+def check_short_edge_membership(model: CayleyModel, sets) -> ConditionVerdict:
+    verdict = ConditionVerdict("condition 3 (short-edge differences lie in the companion)")
+    group = model.group
+    el = group.elements()
+    for i, sset in enumerate(sets):
+        for u, v in sset.edges:
+            d = group.difference(u, v)
+            if d in group.involutions and d not in sset.subgroup.elements:
+                verdict.fail(
+                    f"set {i}: short edge {el[u]}~{el[v]} has difference {el[d]}"
+                    " outside its companion subgroup"
+                )
+    return verdict
+
+
+def reference_verify_starter(starter: Starter) -> VerificationReport:
+    """The three starter conditions, each checked in a pass of its own."""
+    c1 = check_difference_cover(starter.model, starter.sets)
+    c2 = check_coset_transversals(starter.model, starter.sets)
+    c3 = check_short_edge_membership(starter.model, starter.sets)
+    return VerificationReport(c1.ok and c2.ok and c3.ok, c1, c2, c3)
 
 
 def every_translation_invariant(fact: OneFactorization) -> bool:

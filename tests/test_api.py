@@ -1,5 +1,6 @@
-"""The library's public surface: the README tour runs as written, and every
-name a module exports has a caller in the package or the benchmark."""
+"""The library's public surface: the README tour runs as written, every
+name a module exports has a caller in the package or the benchmark, and
+every name a module imports is read there."""
 
 from __future__ import annotations
 
@@ -68,3 +69,23 @@ def test_every_export_has_a_caller():
             if not (callers or name in bench or name in _reads(tree, skip=definition)):
                 unused.append(f"{path.name}: {name}")
     assert not unused, unused
+
+
+def test_every_import_is_read():
+    # A name a module imports must be read somewhere in that module; a
+    # __future__ import is a compiler directive, not a name.
+    unread = []
+    for path in sorted((ROOT / "src" / "starfact").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        reads = _reads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in reads:
+                        unread.append(f"{path.name}: {name}")
+    assert not unread, unread

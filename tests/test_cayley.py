@@ -9,12 +9,22 @@ import pytest
 from oracles import all_edges
 from starfact.cayley import build_model, export_edge_list
 from starfact.groups import make_group, subgroups_of_order
-from starfact.starters import StarterSet, check_coset_transversals
+from starfact.starters import Starter, StarterSet, verify_starter
 
 
 def _model(orders, h_gens):
     g = make_group(orders)
     return build_model(g.subgroup(h_gens))
+
+
+def _differences(m, e):
+    """{u - v, v - u} for the edge e = (u, v)."""
+    d = m.group.difference(*e)
+    return {d, m.group.negs[d]}
+
+
+def _condition2(m, sset):
+    return verify_starter(Starter(m, (sset,))).condition2
 
 
 def test_build_model_validation():
@@ -43,10 +53,10 @@ def test_edge_canonicalization_and_kinds():
     e = m.edge(3, 1)
     assert e == (1, 3)
     assert m.group.difference(*e) not in m.group.involutions  # long
-    assert m.edge_difference(e) == frozenset({2, 8})
+    assert _differences(m, e) == {2, 8}
     # both ends of a long edge are marked: the full group's one coset is hit twice
     full = StarterSet((e,), m.group.full_subgroup())
-    assert check_coset_transversals(m, [full]).violations == [
+    assert _condition2(m, full).violations == [
         "set 0: coset of (0,) has 2 marked endpoints (companion order 10)"
     ]
 
@@ -54,13 +64,13 @@ def test_edge_canonicalization_and_kinds():
     s = m22.edge(1, 0)  # (0, 1) ~ (0, 0)
     assert s == (0, 1)
     assert m22.group.difference(*s) in m22.group.involutions  # short
-    assert m22.edge_difference(s) == frozenset({1})
+    assert _differences(m22, s) == {1}
     # only one end of a short edge is marked, so the full group passes ...
-    assert check_coset_transversals(m22, [StarterSet((s,), m22.group.full_subgroup())]).ok
+    assert _condition2(m22, StarterSet((s,), m22.group.full_subgroup())).ok
     # ... and it is the lesser end: under <(1, 0)> the ends lie in two cosets,
     # and the coset of the greater end (0, 1) is the one left empty
     split = StarterSet((s,), m22.group.subgroup([(1, 0)]))
-    assert check_coset_transversals(m22, [split]).violations == [
+    assert _condition2(m22, split).violations == [
         "set 0: coset of (0, 1) has 0 marked endpoints (companion order 2)"
     ]
 
@@ -69,17 +79,21 @@ def test_illegal_and_degenerate_edges():
     m = _model([10], [(5,)])
     with pytest.raises(ValueError, match=r"illegal edge \(0,\) ~ \(5,\)"):
         m.edge(0, 5)  # difference in H
+    # the message reads the ascending pair and its difference u - v
+    message = r"^illegal edge \(0,\) ~ \(4,\): difference \(8,\) lies in H$"
+    with pytest.raises(ValueError, match=message):
+        _model([12], [(4,)]).edge(4, 0)
     with pytest.raises(ValueError, match=r"degenerate edge at \(2,\)"):
         m.edge(2, 2)
     for bad in (-1, 10):
         with pytest.raises(ValueError, match="vertex index out of range"):
             m.pair(0, bad)
-    # pair lets the illegal difference through, but the difference accessor
-    # still refuses it
+    # pair lets the illegal difference through, but edge still refuses it
     e = m.pair(0, 5)
     assert e == (0, 5)
+    assert m.group.difference(*e) in m.H.elements
     with pytest.raises(ValueError):
-        m.edge_difference(e)
+        m.edge(*e)
 
 
 def test_translate_preserves_difference():
@@ -91,7 +105,7 @@ def test_translate_preserves_difference():
         row = m.group.translation(rng.randrange(m.group.order))
         t = m.pair(row[e[0]], row[e[1]])
         assert t[0] < t[1]
-        assert m.edge_difference(t) == m.edge_difference(e)
+        assert _differences(m, t) == _differences(m, e)
         assert (m.group.difference(*t) in invol) == (m.group.difference(*e) in invol)
 
 
@@ -121,7 +135,7 @@ def test_all_edges_complete_and_sorted():
         assert list(edges) == sorted(edges)
         for u, v in edges:
             assert u < v
-            m.edge_difference((u, v))  # legality
+            assert m.group.difference(u, v) not in m.H.elements  # legality
             assert m.H.coset_of[u] != m.H.coset_of[v]  # no edge inside a part
         # the short edges are {x, x + t} for the involutions t in Omega
         short = {e for e in edges if m.group.difference(*e) in m.group.involutions}

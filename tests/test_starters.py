@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import every_translation_invariant
+from oracles import every_translation_invariant, reference_verify_starter
 from starfact.cayley import build_model
-from starfact.groups import enumerate_abelian_groups, factorize, make_group, subgroups_of_order
+from starfact.constructions import construct_prime_power
+from starfact.groups import (
+    AbelianGroup,
+    enumerate_abelian_groups,
+    factorize,
+    make_group,
+    subgroups_of_order,
+)
 from starfact.search import search_starter
 from starfact.serialize import (
     canonical_json,
@@ -23,7 +33,6 @@ from starfact.starters import (
     Starter,
     StarterSet,
     check_invariance,
-    check_short_edge_membership,
     develop_factorization,
     verify_factorization,
     verify_starter,
@@ -86,8 +95,8 @@ def test_short_edge_companion_membership():
     short = m.edge(0, 1)  # (0, 0) ~ (0, 1)
     inside = StarterSet((short,), m.group.full_subgroup())
     outside = StarterSet((short,), m.group.subgroup([(1, 0)]))
-    assert check_short_edge_membership(m, [inside]).ok
-    verdict = check_short_edge_membership(m, [outside])
+    assert verify_starter(Starter(m, (inside,))).condition3.ok
+    verdict = verify_starter(Starter(m, (outside,))).condition3
     assert not verdict.ok
     assert "outside its companion" in verdict.violations[0]
 
@@ -253,11 +262,13 @@ def test_witness_json_round_trips_are_byte_stable():
                     first = back.sets[0]
                     u, v = first.edges[0]
                     coset = model.H.coset_of
+                    negs = model.group.negs
+                    d = model.group.difference(u, v)
                     others = [
                         w
                         for w in range(order)
                         if coset[w] != coset[u]
-                        and model.edge_difference((u, w)) != model.edge_difference((u, v))
+                        and model.group.difference(u, w) not in (d, negs[d])
                     ]
                     if not others:  # Omega is the one pair {v - u, u - v}
                         continue
@@ -269,3 +280,122 @@ def test_witness_json_round_trips_are_byte_stable():
     assert len(witnesses) == 154
     assert sum(witnesses) == 143
     assert moved == 153  # all but Z4 with H = <2>
+
+
+def _small_witnesses():
+    """The search witness of every model with 4 <= |G| <= 16 that has one."""
+    out = []
+    for order in range(4, 17):
+        for group in enumerate_abelian_groups(order):
+            for H in group.subgroups:
+                if 2 <= H.order < order:
+                    outcome = search_starter(build_model(H))
+                    if outcome.status == "found":
+                        out.append(outcome.witness)
+    return out
+
+
+def _tampered(starter):
+    """Four tampered copies: the first edge (u, v) moved to (u, w), the first
+    set duplicated, the first edge made illegal as (u, u + h) with h the
+    least element of H but 0, and the first companion swapped for the next
+    subgroup in the lattice."""
+    model = starter.model
+    group = model.group
+    first, rest = starter.sets[0], starter.sets[1:]
+    (u, v), edges = first.edges[0], first.edges[1:]
+    w = (v + 1) % group.order
+    if w == u:
+        w = (w + 1) % group.order
+    h = model.H.sorted_elements[1]
+    subs = group.subgroups
+    swapped = subs[(subs.index(first.subgroup) + 1) % len(subs)]
+
+    def with_first(edge, companion=first.subgroup):
+        sset = StarterSet(tuple(sorted((edge,) + edges)), companion)
+        return Starter(model, (sset,) + rest)
+
+    return [
+        with_first(model.pair(u, w)),
+        Starter(model, starter.sets + (first,)),
+        with_first(model.pair(u, group.translation(u)[h])),
+        with_first((u, v), swapped),
+    ]
+
+
+def test_verify_starter_matches_reference_on_witnesses_and_tampered_copies():
+    # verify_starter reads each edge once; the reference checks each
+    # condition in a pass of its own.  Reports agree message for message.
+    witnesses = _small_witnesses()
+    assert len(witnesses) == 154
+    failed = [0] * 4
+    for witness in witnesses:
+        assert verify_starter(witness).payload() == reference_verify_starter(witness).payload()
+        for k, starter in enumerate(_tampered(witness)):
+            report = verify_starter(starter)
+            assert report.payload() == reference_verify_starter(starter).payload()
+            failed[k] += not report.passed
+    assert failed == [154, 154, 154, 143]  # 11 swapped companions still work
+
+
+@functools.cache
+def _models(order):
+    """A model for every (G, H) with |G| = order and 2 <= |H| < order."""
+    return [
+        build_model(H)
+        for group in enumerate_abelian_groups(order)
+        for H in group.subgroups
+        if 2 <= H.order < order
+    ]
+
+
+_COMPOSITE_ORDERS = [n for n in range(4, 25) if any(n % k == 0 for k in range(2, n))]
+_VERTEX = st.integers(0, 23)
+
+
+@settings(max_examples=150, database=None, derandomize=True, deadline=None)
+@given(
+    order=st.sampled_from(_COMPOSITE_ORDERS),
+    pick=st.integers(0, 10**6),
+    companions=st.lists(st.integers(0, 10**6), min_size=1, max_size=4),
+    edges=st.lists(st.tuples(st.integers(0, 3), _VERTEX, _VERTEX), max_size=24),
+)
+def test_verify_starter_matches_reference_on_random_sets(order, pick, companions, edges):
+    # Random edge sets on a random model with |G| <= 24, legal or not, with
+    # random companions: every message and its order match the reference.
+    # Each draw picks from its list modulo the list's length.
+    models = _models(order)
+    model = models[pick % len(models)]
+    subgroups = model.group.subgroups
+    sets = [[] for _ in companions]
+    for i, u, v in edges:
+        u, v = u % order, v % order
+        if u != v:
+            sets[i % len(sets)].append(model.pair(u, v))
+    starter = Starter(
+        model,
+        tuple(
+            StarterSet(tuple(sorted(es)), subgroups[c % len(subgroups)])
+            for es, c in zip(sets, companions)
+        ),
+    )
+    assert verify_starter(starter).payload() == reference_verify_starter(starter).payload()
+
+
+def test_verify_starter_reads_each_difference_once(monkeypatch):
+    starter = construct_prime_power(5, 2)
+    edges = sum(len(sset.edges) for sset in starter.sets)
+    calls = 0
+    difference = AbelianGroup.difference
+
+    def counted(self, u, v):
+        nonlocal calls
+        calls += 1
+        return difference(self, u, v)
+
+    monkeypatch.setattr(AbelianGroup, "difference", counted)
+    assert verify_starter(starter).passed
+    assert calls == edges
+    calls = 0
+    assert reference_verify_starter(starter).passed
+    assert calls == 3 * edges
