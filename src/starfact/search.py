@@ -18,8 +18,20 @@ that fit, filled on first use, so a node builds and rejects none.  The
 total of open slots travels with each move as one integer, so no node sums
 it over the open sets.
 
+Two bounds cut the tree.  The slot-sum bound cuts a node whose open sets
+have more slots left than there are uncovered differences.  A move that
+extends an open set never fails it, and a fresh set fails it exactly when
+its index is too large; companions come in ascending index, so the
+children that fail are the last ones of their level.  Each level counts
+them without applying them: one per companion when the fresh set is
+anchored, else one per edge realizing the difference, since a fresh set's
+placement entry (hit mask 0) is never empty.  The odd-slot bound cuts a
+node with an open set whose slots left are odd and whose companion has no
+uncovered involution; it is checked only where a move can change it.
+
 Every search runs in one process as one walk from the root.  Budgets count
-search-tree nodes in depth-first order, the root included, and a search
+search-tree nodes in depth-first order, the root included, and the
+children cut by the slot-sum bound still count, one node each; a search
 stops as soon as its outcome is decided.
 
 The brute-force oracle that cross-checks the search on small models lives
@@ -125,17 +137,29 @@ def _fill(ctx: _Ctx, key: tuple[int, int, int]) -> tuple:
     return fits
 
 
-def _moves(ctx: _Ctx, sets: list, covered: int, slots: int, w: int, comps, anchor: bool):
+def _moves(ctx: _Ctx, sets: list, covered: int, slots: int, w: int, anchor: bool):
     """Apply each move that covers difference w to sets in place, yield the
     new (cover, open slots), and undo the move before applying the next.
+    The last yield is (0, cut): the number of children that fail the
+    slot-sum bound, counted without being applied.
 
-    slots is the total of open slots in sets before the move.  A set takes
-    an edge realizing w when its companion contains w exactly if w is an
-    involution, and it has need slots left: 1 for a short edge, 2 for a long
-    one.  Moves come in a fixed order: every placement in each open set,
-    then every placement on a fresh set of each companion in comps whose
-    index fits the uncovered differences.  With anchor, a fresh set takes
-    only its first placement, the edge at the identity.
+    slots is the total of open slots in sets before the move; the caller's
+    node passed the slot-sum bound, so it is at most the number of
+    uncovered differences.  A set takes an edge realizing w when its
+    companion contains w exactly if w is an involution, and it has need
+    slots left: 1 for a short edge, 2 for a long one.  Moves come in a fixed
+    order: every placement in each open set, then every placement on a
+    fresh set of each companion, by ascending index, whose index fits the
+    uncovered differences.  With anchor, a fresh set takes only its first
+    placement, the edge at the identity.
+
+    An extending move never fails the slot-sum bound, since the open slots
+    and the uncovered count both fall by need.  A fresh set of index k
+    fails it exactly when k > uncovered - slots, so the children that fail
+    are the level's last ones.  Each such companion counts one child with
+    anchor, and otherwise one per entry of its hit-0 placements: every edge
+    realizing w, |G| of them, or |G|/2 for an involution.  That entry is
+    never empty, since w lies in Omega and not in H.
     """
     table = ctx.fits
     inv = w in ctx.invol
@@ -157,9 +181,15 @@ def _moves(ctx: _Ctx, sets: list, covered: int, slots: int, w: int, comps, ancho
             edges.pop()
         s[1], s[2] = left, hit
     uncovered = (ctx.omega_mask & ~covered).bit_count()
-    for comp in comps:
-        index = ctx.comp_index[comp]
-        if index > uncovered or ctx.comp_member[comp][w] != inv:
+    room = uncovered - slots  # a fresh set of larger index fails the bound
+    cut = 0
+    for comp, index in enumerate(ctx.comp_index):
+        if index > uncovered:
+            break
+        if ctx.comp_member[comp][w] != inv:
+            continue
+        if index > room:
+            cut += 1
             continue
         key = comp, w, 0
         fits = table.get(key)
@@ -172,6 +202,10 @@ def _moves(ctx: _Ctx, sets: list, covered: int, slots: int, w: int, comps, ancho
             sets.pop()
             if anchor:
                 break
+    if cut and not anchor:
+        order = len(ctx.rows)
+        cut *= order // 2 if inv else order
+    yield 0, cut
 
 
 def _witness_starter(ctx: _Ctx, witness_sets) -> Starter:
@@ -190,10 +224,10 @@ def _root_branches(ctx: _Ctx) -> list[int]:
     # The companions that can open the first set, which a search reports as
     # subgroups_tried.  Anchored root moves open one set per companion that
     # can take the least difference; a fresh set's feasibility does not
-    # depend on the placement, so the list serves every mode.
+    # depend on the placement, so the list serves every mode.  No root move
+    # fails the slot-sum bound, since no set is open.
     sets: list = []
-    root = _moves(ctx, sets, 0, 0, ctx.omega_ids[0], range(len(ctx.companions)), True)
-    return [sets[0][0] for _ in root]
+    return [sets[0][0] for cover, _ in _moves(ctx, sets, 0, 0, ctx.omega_ids[0], True) if cover]
 
 
 def _walk(ctx: _Ctx, cap: int | None, collect: bool):
@@ -208,34 +242,53 @@ def _walk(ctx: _Ctx, cap: int | None, collect: bool):
     and yields the cover and the open-slot total after its move.  The levels
     sit on an explicit stack, so depth costs no Python frames.  The root
     level opens the first set with every companion in turn.
+
+    No child that a generator applies fails the slot-sum bound.  The
+    children that do are the level's last ones, and its final yield counts
+    them, so the walk adds them when it pops the level, and a budget stops
+    at the same node as if each were walked.  Each level keeps whether w is
+    an involution and how many sets were open before its move, for the
+    odd-slot bound: an open set with an odd number of slots left needs an
+    uncovered involution in its companion.  A move on an involution can
+    change that for any set, so every set is checked; any other move
+    changes no parity and covers no involution, so only a set it opened
+    needs checking.
     """
     anchor = not collect
+    invol = ctx.invol
+    invol_omega = ctx.comp_invol_omega
     sets: list[list] = []
     hits: list[list] = []
     nodes = 0
-    every_comp = range(len(ctx.companions))
-    stack = [_moves(ctx, sets, 0, 0, ctx.omega_ids[0], every_comp, anchor)]
+    w = ctx.omega_ids[0]
+    stack = [(_moves(ctx, sets, 0, 0, w, anchor), w in invol, 0)]
     while stack:
-        # A move always covers w, so cover 0 means the level is done.
-        covered, slots = next(stack[-1], (0, 0))
-        if not covered:
+        level, inv, before = stack[-1]
+        covered, slots = next(level)
+        if not covered:  # a move always covers w; slots counts the cut children
             stack.pop()
+            nodes += slots
+            if cap is not None and nodes > cap:
+                return cap, hits, True
             continue
         nodes += 1
         if cap is not None and nodes > cap:
             return cap, hits, True
         free = ctx.omega_mask & ~covered
-        if slots > free.bit_count():
-            continue
         if not free:
             hits.append([(s[0], list(s[3])) for s in sets])
             if not collect:
                 break
             continue
-        if any(s[1] % 2 and not ctx.comp_invol_omega[s[0]] & free for s in sets):
-            continue
+        if inv:
+            if any(s[1] % 2 and not invol_omega[s[0]] & free for s in sets):
+                continue
+        elif len(sets) > before:
+            s = sets[-1]
+            if s[1] % 2 and not invol_omega[s[0]] & free:
+                continue
         w = (free & -free).bit_length() - 1
-        stack.append(_moves(ctx, sets, covered, slots, w, every_comp, anchor))
+        stack.append((_moves(ctx, sets, covered, slots, w, anchor), w in invol, len(sets)))
     return nodes, hits, False
 
 

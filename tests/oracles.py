@@ -4,19 +4,37 @@ The search, the develop step, the invariance check and the starter
 verifier are cross-checked against these: a brute-force count of
 one-factorizations with no starter theory, the model's edges as one tuple,
 invariance under every translation rather than the standard generators
-alone, and a reference verifier that checks each starter condition in a
-pass of its own.
+alone, a reference verifier that checks each starter condition in a pass
+of its own, and a reference search walk that applies every child and
+runs every bound at every node.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
-from starfact.cayley import CayleyModel
+from starfact.cayley import CayleyModel, build_model
+from starfact.groups import enumerate_abelian_groups
 from starfact.starters import ConditionVerdict, OneFactorization, Starter, VerificationReport
 
 _BRUTE_FORCE_CAP = 12
+
+
+# The orders up to 24 that have a model: those with a proper nontrivial H.
+COMPOSITE_ORDERS = [n for n in range(4, 25) if any(n % k == 0 for k in range(2, n))]
+
+
+@functools.cache
+def models_of_order(order: int) -> list[CayleyModel]:
+    """A model for every (G, H) with |G| = order and 2 <= |H| < order."""
+    return [
+        build_model(H)
+        for group in enumerate_abelian_groups(order)
+        for H in group.subgroups
+        if 2 <= H.order < order
+    ]
 
 
 def all_edges(model: CayleyModel) -> tuple[tuple[int, int], ...]:
@@ -225,3 +243,88 @@ def brute_force_factorizations(
         factors = tuple(sorted(tuple(sorted(edges[i] for i in m)) for m in factor_ids))
         built.append(OneFactorization(model, factors))
     return BruteForceResult(count, tuple(built), exhausted)
+
+
+def reference_walk(model: CayleyModel, mode: str = "first", budget: int | None = None):
+    """The starter search as a plain per-node walk: (status, nodes_explored,
+    witnesses), each witness a list of (companion elements, sorted edges)
+    per set.
+
+    It branches as search_starter does, on the least uncovered difference w:
+    first every placement of w in each open set, then a fresh set of each
+    companion (largest order first) whose index is at most the number of
+    uncovered differences, taking only the edge at the identity unless
+    mode is all.  Every child is applied and counted.  Every child then
+    recounts its open slots and is cut when they exceed the uncovered
+    differences, and every open set with an odd number of slots left needs
+    an uncovered involution in its companion.  The budget counts nodes in
+    depth-first order, the root included."""
+    group = model.group
+    omega = sorted(model.omega)
+    companions = sorted(group.subgroups, key=lambda s: (-s.order, s.sorted_elements))
+    collect = mode == "all"
+    nodes = 1
+    hits: list = []
+    if budget == 0:
+        return "budget_exceeded", 0, hits
+
+    def placements(comp, w, hit):
+        """(cosets hit after, edge) for each edge of difference w, by
+        ascending x, whose endpoints' cosets miss hit."""
+        coset = companions[comp].coset_of
+        short = w in group.involutions
+        out = []
+        for x, y in enumerate(group.translation(w)):
+            if short and y < x:
+                continue
+            marks = {coset[x], coset[y]}
+            if not marks & hit:
+                out.append((hit | marks, (min(x, y), max(x, y))))
+        return out
+
+    def children(sets, free):
+        w = free[0]
+        short = w in group.involutions
+        need = 1 if short else 2
+        for i, (comp, left, hit, edges) in enumerate(sets):
+            if left >= need and (w in companions[comp].elements) == short:
+                for after, edge in placements(comp, w, hit):
+                    yield sets[:i] + [(comp, left - need, after, edges + [edge])] + sets[i + 1:]
+        for comp, sub in enumerate(companions):
+            if sub.index <= len(free) and (w in sub.elements) == short:
+                fresh = placements(comp, w, frozenset())
+                for after, edge in fresh if collect else fresh[:1]:
+                    yield sets + [(comp, sub.index - need, after, [edge])]
+
+    def expand(sets, free) -> bool:
+        """Walk the children of a node; True stops the walk."""
+        nonlocal nodes
+        for child in children(sets, free):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                return True
+            covered = set()
+            for _, _, _, edges in child:
+                for u, v in edges:
+                    covered.update((group.difference(u, v), group.difference(v, u)))
+            rest = [d for d in omega if d not in covered]
+            if sum(left for _, left, _, _ in child) > len(rest):
+                continue
+            if not rest:
+                hits.append([(companions[c].sorted_elements, sorted(e)) for c, _, _, e in child])
+                if not collect:
+                    return True
+                continue
+            spare = [d for d in rest if d in group.involutions]
+            if any(
+                left % 2 and not any(d in companions[c].elements for d in spare)
+                for c, left, _, _ in child
+            ):
+                continue
+            if expand(child, rest):
+                return True
+        return False
+
+    if expand([], omega) and budget is not None and nodes > budget:
+        return "budget_exceeded", budget, hits
+    return ("found" if hits else "none_exists"), nodes, hits

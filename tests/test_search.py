@@ -7,10 +7,20 @@ import hashlib
 import inspect
 import sys
 import time
+import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_force_factorizations, every_translation_invariant
+import starfact.search
+from oracles import (
+    COMPOSITE_ORDERS,
+    brute_force_factorizations,
+    every_translation_invariant,
+    models_of_order,
+    reference_walk,
+)
 from starfact.cayley import build_model
 from starfact.constructions import classify_existence
 from starfact.groups import enumerate_abelian_groups, make_group, subgroups_of_order
@@ -182,6 +192,123 @@ def test_search_tree_is_pinned(orders, h_gens, mode, budget, status, nodes, coun
     out = search_starter(_model(orders, h_gens), mode=mode, budget=budget)
     assert (out.status, out.nodes_explored, len(out.witnesses)) == (status, nodes, count)
     assert hashlib.sha256(canonical_json(out.payload()).encode()).hexdigest() == digest
+
+
+def _witness_sets(out):
+    """Each witness of a search outcome as the reference walk lists it."""
+    found = out.witnesses or ((out.witness,) if out.witness else ())
+    return [[(s.subgroup.sorted_elements, list(s.edges)) for s in w.sets] for w in found]
+
+
+_MODES = ("first", "exhaust", "all")
+
+
+@settings(max_examples=150, database=None, derandomize=True, deadline=None)
+@given(
+    order=st.sampled_from(COMPOSITE_ORDERS),
+    pick=st.integers(0, 10**6),
+    mode=st.sampled_from(_MODES),
+    budget=st.integers(0, 1_500),
+)
+def test_search_matches_reference_walk(order, pick, mode, budget):
+    # A random model with |G| <= 24, a random mode and budget: the walk that
+    # counts slot-cut children in bulk and checks the odd-slot bound only
+    # where a move can change it gives the per-node walk's status, node
+    # count and witnesses.
+    models = models_of_order(order)
+    model = models[pick % len(models)]
+    out = search_starter(model, mode, budget)
+    got = out.status, out.nodes_explored, _witness_sets(out)
+    assert got == reference_walk(model, mode, budget)
+
+
+_SWEEP_ALL_CAP = 64
+
+
+def _sweep(model, mode, cap=None):
+    """Search model at every budget from 0 to one past its tree of N nodes
+    (walked up to cap): a budget b reports min(b, N) nodes and runs out
+    exactly when b < N, even where it falls inside a level's bulk count of
+    slot-cut children.  Mode all's witnesses under a budget are a prefix of
+    the full list.  Returns the number of budgets tried."""
+    full = search_starter(model, mode, cap)
+    n, whole = full.nodes_explored, full.status != BUDGET_EXCEEDED
+    witnesses = _witness_sets(full)
+    budgets = range(n + 2 if whole else n + 1)
+    for b in budgets:
+        out = search_starter(model, mode, b)
+        assert out.nodes_explored == min(b, n), (model.H.sorted_elements, mode, b)
+        assert (out.status == BUDGET_EXCEEDED) == (b < n or not whole)
+        if mode == "all":
+            got = _witness_sets(out)
+            assert got == witnesses[: len(got)]
+        elif b >= n:
+            assert out.payload() == full.payload()
+    return len(budgets)
+
+
+def test_budget_sweep_cuts_every_small_tree_at_every_node():
+    # Every model with |G| <= 12, in every mode, at every budget (mode all
+    # stops at _SWEEP_ALL_CAP nodes, since each of its runs verifies every
+    # witness).
+    runs = sum(
+        _sweep(model, mode, _SWEEP_ALL_CAP if mode == "all" else None)
+        for order in range(4, 13)
+        for model in models_of_order(order)
+        for mode in _MODES
+    )
+    assert runs == 3_192
+
+
+@pytest.mark.parametrize(
+    "orders, h_gens, cap, nodes",
+    [
+        # whole trees; each cut level counts |G| = 8 slot-cut children
+        ([8], [(4,)], None, 657),
+        ([8], [(2,)], None, 161),
+        # an involution's fresh sets count |G|/2 = 4 at a time, and one
+        # level counts 12 over three companions
+        ([2, 2, 2], [(0, 0, 1)], 300, 300),
+    ],
+)
+def test_budget_sweep_deep_in_mode_all_trees(monkeypatch, orders, h_gens, cap, nodes):
+    # Mode all past _SWEEP_ALL_CAP on the cheapest trees, so budgets also
+    # land inside bulk counts deep in the walk.  The full run matches the
+    # per-node walk and verifies its witnesses; the budgeted runs skip
+    # verification, which would otherwise be nearly all of the time.
+    model = _model(orders, h_gens)
+    out = search_starter(model, "all", cap)
+    assert out.nodes_explored == nodes
+    assert (out.status, nodes, _witness_sets(out)) == reference_walk(model, "all", cap)
+    monkeypatch.setattr(starfact.search, "verify_starter", lambda s: _PASSED)
+    _sweep(model, "all", cap)
+
+
+_PASSED = types.SimpleNamespace(passed=True)
+
+
+def test_moves_apply_no_child_that_fails_the_slot_bound(monkeypatch):
+    # Every child a level applies passes the slot-sum bound; the ones that
+    # would fail are only counted, in the level's last yield.
+    moves = starfact.search._moves
+    applied = cut = 0
+
+    def checked(ctx, *args):
+        nonlocal applied, cut
+        for covered, slots in moves(ctx, *args):
+            if covered:
+                assert slots <= (ctx.omega_mask & ~covered).bit_count()
+                applied += 1
+            else:
+                cut += slots
+            yield covered, slots
+
+    monkeypatch.setattr(starfact.search, "_moves", checked)
+    out = search_starter(_model([2, 3, 3], [(1, 0, 0), (0, 1, 0)]), mode="exhaust")
+    assert (out.status, out.nodes_explored) == (NONE_EXISTS, 15_869)
+    # _root_branches applies the root level's children once more.
+    assert 1 + applied + cut == 15_869 + len(out.subgroups_tried)
+    assert cut > 0
 
 
 def test_bad_mode_and_budget_zero():

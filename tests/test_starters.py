@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
-import functools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import every_translation_invariant, reference_verify_starter
+from oracles import (
+    COMPOSITE_ORDERS,
+    every_translation_invariant,
+    models_of_order,
+    reference_verify_starter,
+)
 from starfact.cayley import build_model
 from starfact.constructions import construct_prime_power
 from starfact.groups import (
@@ -338,24 +342,12 @@ def test_verify_starter_matches_reference_on_witnesses_and_tampered_copies():
     assert failed == [154, 154, 154, 143]  # 11 swapped companions still work
 
 
-@functools.cache
-def _models(order):
-    """A model for every (G, H) with |G| = order and 2 <= |H| < order."""
-    return [
-        build_model(H)
-        for group in enumerate_abelian_groups(order)
-        for H in group.subgroups
-        if 2 <= H.order < order
-    ]
-
-
-_COMPOSITE_ORDERS = [n for n in range(4, 25) if any(n % k == 0 for k in range(2, n))]
 _VERTEX = st.integers(0, 23)
 
 
 @settings(max_examples=150, database=None, derandomize=True, deadline=None)
 @given(
-    order=st.sampled_from(_COMPOSITE_ORDERS),
+    order=st.sampled_from(COMPOSITE_ORDERS),
     pick=st.integers(0, 10**6),
     companions=st.lists(st.integers(0, 10**6), min_size=1, max_size=4),
     edges=st.lists(st.tuples(st.integers(0, 3), _VERTEX, _VERTEX), max_size=24),
@@ -364,7 +356,7 @@ def test_verify_starter_matches_reference_on_random_sets(order, pick, companions
     # Random edge sets on a random model with |G| <= 24, legal or not, with
     # random companions: every message and its order match the reference.
     # Each draw picks from its list modulo the list's length.
-    models = _models(order)
+    models = models_of_order(order)
     model = models[pick % len(models)]
     subgroups = model.group.subgroups
     sets = [[] for _ in companions]
