@@ -13,10 +13,7 @@ from .constructions import (
     ConstructionError,
     ExistenceVerdict,
     NonexistenceCertificate,
-    PrimePowerParams,
-    build_prime_power_starter,
     classify_existence,
-    complete_via_index2,
     construct_prime_power,
     double_starter,
     parity_nonexistence,
@@ -86,12 +83,9 @@ __all__ = [
     "starter_from_payload",
     "factorization_payload",
     "factorization_from_payload",
-    "PrimePowerParams",
     "ConstructionError",
     "NonexistenceCertificate",
     "ExistenceVerdict",
-    "build_prime_power_starter",
-    "complete_via_index2",
     "construct_prime_power",
     "double_starter",
     "parity_nonexistence",

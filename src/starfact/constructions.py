@@ -1,14 +1,13 @@
 """Explicit starter constructions and existence classification.
 
-Three builders:
+Two builders:
 
 * double_starter lifts a starter over a cyclic group Z_{mn} to one over
   Z_{mn} x Z_2, turning K_{m x n} into K_{m x 2n};
-* build_prime_power_starter assembles the explicit partial starter for
-  K_{p^v x 2}, p prime congruent 1 mod 4, v >= 2, over
-  Z_{p^(v-1)} x Z_p x Z_2;
-* complete_via_index2 finishes a partial starter whose uncovered
-  differences all avoid a chosen index-2 subgroup.
+* construct_prime_power assembles the explicit starter for K_{p^v x 2},
+  p prime congruent 1 mod 4, v >= 2, over Z_{p^(v-1)} x Z_p x Z_2,
+  completes it with one singleton per uncovered difference pair, and
+  returns the first candidate filling that verifies.
 
 Plus a parity-counting nonexistence certificate and a rule-based
 existence classifier for K_{m x n} under abelian groups.
@@ -20,22 +19,13 @@ from dataclasses import dataclass
 
 from .cayley import CayleyModel, build_model
 from .groups import MAX_GROUP_ORDER, Subgroup, check_group_order, factorize, make_group
-from .starters import (
-    InvalidStarterError,
-    Starter,
-    StarterSet,
-    scan_sets,
-    verify_starter,
-)
+from .starters import InvalidStarterError, Starter, StarterSet, scan_sets, verify_starter
 
 __all__ = [
-    "PrimePowerParams",
     "ConstructionError",
     "NonexistenceCertificate",
     "ExistenceVerdict",
     "double_starter",
-    "build_prime_power_starter",
-    "complete_via_index2",
     "construct_prime_power",
     "parity_nonexistence",
     "classify_existence",
@@ -43,7 +33,7 @@ __all__ = [
 
 
 class ConstructionError(ValueError):
-    """A builder's assembled family failed its own post-check."""
+    """No candidate filling of a construction passed verification."""
 
     def __init__(self, message: str, details=None):
         super().__init__(message)
@@ -59,33 +49,6 @@ def _is_prime_power(n: int) -> tuple[int, int] | None:
 
 def _is_prime(n: int) -> bool:
     return n >= 2 and _is_prime_power(n) == (n, 1)
-
-
-@dataclass(frozen=True)
-class PrimePowerParams:
-    """Parameters p = 4t + 1 prime, v >= 2, t' = (p^(v-1) - 1) / 4."""
-
-    p: int
-    v: int
-    t: int
-    t_prime: int
-
-    @classmethod
-    def validate(cls, p: int, v: int) -> "PrimePowerParams":
-        """The family's group has order 2 * p^v; one above MAX_GROUP_ORDER
-        is refused before p is tested for primality by trial division.
-        2 * 2^e exceeds the maximum for e its bit length, so the test never
-        raises p to a larger power than that."""
-        if v < 2:
-            raise ValueError(f"v must be >= 2, got {v}")
-        if p >= 2:
-            check_group_order(2 * p ** min(v, MAX_GROUP_ORDER.bit_length()), f"2 * {p}^{v}")
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if p % 4 != 1:
-            raise ValueError(f"p = {p} is not congruent to 1 mod 4")
-        q = p ** (v - 1)
-        return cls(p=p, v=v, t=(p - 1) // 4, t_prime=(q - 1) // 4)
 
 
 # ---------------------------------------------------------------------------
@@ -134,15 +97,15 @@ def double_starter(starter: Starter) -> Starter:
 
 
 def _assemble_family(
-    model: CayleyModel, params: PrimePowerParams, bridge_c: int, anchor_y: int, anchor_z: int
+    model: CayleyModel, p: int, t: int, tp: int, bridge_c: int, anchor_y: int, anchor_z: int
 ) -> list[StarterSet]:
-    """Lay out the edge families over Z_{p^(v-1)} x Z_p x Z_2.
+    """Lay out the edge families over Z_{p^(v-1)} x Z_p x Z_2, where
+    p = 4t + 1 and tp = t' = (p^(v-1) - 1) / 4.
 
     bridge_c fills the third coordinate of the final set's long family;
     (anchor_y, anchor_z) are the free columns of the final set's last edge.
     """
     group = model.group
-    p, t, tp = params.p, params.t, params.t_prime
 
     def ed(a, b):
         return model.pair(group.index_of(a), group.index_of(b))
@@ -183,125 +146,80 @@ def _assemble_family(
     return sets
 
 
-def _partial_report(model: CayleyModel, sets, A: Subgroup) -> tuple[list[int], list[str]]:
-    """Uncovered differences of a partial starter, sorted, and every problem
-    that keeps it from completing through A: an illegal edge, a repeated
-    difference, a broken condition 2 or 3, or an uncovered difference in A."""
-    el = model.group.elements()
-    counts, illegal, c2, c3 = scan_sets(model, sets)
-    problems = [f"set {i}: illegal edge {el[u]}~{el[v]}" for i, u, v, _ in illegal]
-    dups = [el[d] for d, c in enumerate(counts) if c > 1]  # index order is lexicographic
-    if dups:
-        problems.append(f"repeats differences: {dups[:6]}")
-    problems += c2.violations + c3.violations
-    uncovered = [d for d in sorted(model.omega) if not counts[d]]
-    inside = [el[d] for d in uncovered if d in A.elements]
-    if inside:
-        problems.append(f"uncovered differences inside the index-2 subgroup: {inside[:6]}")
-    return uncovered, problems
-
-
-def build_prime_power_starter(p: int, v: int) -> tuple[Starter, Subgroup]:
-    """Partial starter for K_{p^v x 2} over Z_{p^(v-1)} x Z_p x Z_2, together
-    with the index-2 subgroup used to finish it.
+def construct_prime_power(p: int, v: int) -> Starter:
+    """The verified K_{p^v x 2} starter over Z_{p^(v-1)} x Z_p x Z_2, for p
+    prime congruent 1 mod 4 and v >= 2.
 
     The printed family has two underdetermined spots: a blank third
     coordinate in the final set's long family, and (at small p) a final edge
-    whose printed columns duplicate a middle set's difference.  Candidate
-    fillings are tried in a fixed order and the first one whose assembled
-    family passes the post-check wins; the choices land in provenance.
+    whose printed columns duplicate a middle set's difference.  Each
+    candidate filling, in a fixed order, is completed by one singleton
+    [identity, w] with companion A = Z_{p^(v-1)} x Z_p x 0 per pair {w, -w}
+    it leaves uncovered (H holds the one involution, so every such w is
+    long).  The first completed starter that verify_starter passes wins;
+    the choices land in provenance.
+
+    The group has order 2 * p^v; one above MAX_GROUP_ORDER is refused before
+    p is tested for primality by trial division.  2 * 2^e exceeds the
+    maximum for e its bit length, so the test never raises p to a larger
+    power than that.
     """
-    params = PrimePowerParams.validate(p, v)
+    if v < 2:
+        raise ValueError(f"v must be >= 2, got {v}")
+    if p >= 2:
+        check_group_order(2 * p ** min(v, MAX_GROUP_ORDER.bit_length()), f"2 * {p}^{v}")
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if p % 4 != 1:
+        raise ValueError(f"p = {p} is not congruent to 1 mod 4")
     q = p ** (v - 1)
+    t, tp = (p - 1) // 4, (q - 1) // 4
     group = make_group([q, p, 2])
     model = build_model(group.subgroup([(0, 0, 1)]))
     A = group.subgroup([(1, 0, 0), (0, 1, 0)])
+    negs = group.negs
+    omega = sorted(model.omega)
 
     printed = (2, 0)
     anchor_candidates = [printed] + [
         (y, z) for y in range(p) for z in range(p) if (y, z) != printed
     ]
-    first_problems = None
+    first_report = None
     for bridge_c in (0, 1):
-        for anchor_y, anchor_z in anchor_candidates:
-            sets = _assemble_family(model, params, bridge_c, anchor_y, anchor_z)
-            _, problems = _partial_report(model, sets, A)
-            if first_problems is None:
-                first_problems = problems
-            if not problems:
-                resolutions = [
-                    {"slot": "final_set_bridge_coordinate", "value": bridge_c}
-                ]
-                if (anchor_y, anchor_z) != printed:
-                    resolutions.append(
-                        {
-                            "slot": "final_set_anchor_columns",
-                            "value": [anchor_y, anchor_z],
-                            "printed": list(printed),
-                        }
-                    )
-                starter = Starter(
-                    model,
-                    tuple(sets),
-                    provenance={
-                        "construction": "prime_power",
-                        "p": p,
-                        "v": v,
-                        "typo_resolutions": resolutions,
-                    },
+        for y, z in anchor_candidates:
+            sets = _assemble_family(model, p, t, tp, bridge_c, y, z)
+            counts = scan_sets(model, sets)[0]
+            singles = [
+                StarterSet((model.edge(0, w),), A)  # vertex index 0 is the identity
+                for w in omega
+                if not counts[w] and w < negs[w]
+            ]
+            resolutions = [{"slot": "final_set_bridge_coordinate", "value": bridge_c}]
+            if (y, z) != printed:
+                resolutions.append(
+                    {"slot": "final_set_anchor_columns", "value": [y, z], "printed": list(printed)}
                 )
-                return starter, A
+            starter = Starter(
+                model,
+                tuple(sets + singles),
+                provenance={
+                    "construction": "prime_power",
+                    "p": p,
+                    "v": v,
+                    "typo_resolutions": resolutions,
+                    "completed_pairs": len(singles),
+                },
+            )
+            report = verify_starter(starter)
+            if report.passed:
+                return starter
+            if first_report is None:
+                first_report = report
     raise ConstructionError(
-        f"no candidate filling makes the p={p}, v={v} family pass its post-check;"
-        f" first attempt reported: {first_problems}",
-        details=first_problems,
+        f"no candidate filling makes the p={p}, v={v} family pass verification;"
+        f" first attempt reported:\n{first_report.summary()}",
+        details=first_report,
     )
-
-
-def complete_via_index2(partial: Starter, A: Subgroup) -> Starter:
-    """Cover what the partial starter leaves uncovered in partial.model, one
-    singleton set per leftover difference class.
-
-    Requires every uncovered element to lie outside A (A has index 2).  A
-    non-involution pair {w, -w} gets the long edge [identity, w] with
-    companion A; an uncovered involution gets a short edge with the full
-    group as companion.  An already-complete starter is returned unchanged.
-    """
-    model = partial.model
-    group = model.group
-    if A.index != 2:
-        raise ValueError(f"completion subgroup must have index 2, found {A.index}")
-    uncovered, problems = _partial_report(model, partial.sets, A)
-    if problems:
-        raise ConstructionError(
-            "partial starter cannot be completed: " + "; ".join(problems), details=problems
-        )
-    if not uncovered:
-        return partial
-
-    full = group.full_subgroup()
-    new_sets = list(partial.sets)
-    for w in uncovered:  # closed under negation; take the lesser of w, -w
-        if w <= group.negs[w]:
-            edge = model.edge(0, w)  # vertex index 0 is the identity
-            companion = full if w in group.involutions else A
-            new_sets.append(StarterSet((edge,), companion))
-    provenance = dict(partial.provenance or {})
-    provenance["completed_pairs"] = (len(uncovered) + 1) // 2
-    return Starter(model, tuple(new_sets), provenance)
-
-
-def construct_prime_power(p: int, v: int) -> Starter:
-    """Build, complete, and verify the K_{p^v x 2} starter in one call."""
-    partial, A = build_prime_power_starter(p, v)
-    starter = complete_via_index2(partial, A)
-    report = verify_starter(starter)
-    if not report.passed:
-        raise ConstructionError(
-            "completed starter failed verification:\n" + report.summary(),
-            details=report,
-        )
-    return starter
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +318,7 @@ def classify_existence(m: int, n: int) -> ExistenceVerdict:
             "odd_vertex_count",
             "a graph with an odd number of vertices has no perfect matching",
         )
-    vm, dm = _two_part(m)
+    vm = _two_part(m)[0]
     vn, dn = _two_part(n)
 
     if parity_nonexistence(m, n) is not None:

@@ -16,8 +16,9 @@ translation.
 Every edge, in a starter set or a factor, is a (u, v) vertex-index pair
 with u < v.  An edge is short when group.difference(u, v) is an
 involution.  scan_sets reads each starter edge's difference once and
-judges all three conditions from it; verify_starter and the
-constructions' post-check both format their messages from that one pass.
+judges all three conditions from it; verify_starter formats its messages
+from that one pass, and construct_prime_power reads its counts to find the
+differences its family leaves uncovered.
 A one-factorization's factors are sorted tuples of pairs: develop, verify
 and invariance translate and count them through the group's translation
 rows, naming a pair by the code u * order + v where it must be sorted or

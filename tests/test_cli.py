@@ -18,9 +18,10 @@ from pathlib import Path
 
 import pytest
 
+from starfact import constructions
 from starfact.cayley import build_model
 from starfact.cli import main
-from starfact.constructions import ConstructionError, complete_via_index2, construct_prime_power
+from starfact.constructions import construct_prime_power
 from starfact.groups import make_group
 from starfact.serialize import (
     canonical_json,
@@ -316,6 +317,30 @@ def test_invalid_family_parameters_exit_64():
     assert "not congruent" in r.stderr
 
 
+def test_construction_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # a family whose first set appears twice repeats every difference it
+    # covers, so no candidate filling can pass
+    assemble = constructions._assemble_family
+
+    def repeated(*args):
+        sets = assemble(*args)
+        return [sets[0]] + sets
+
+    monkeypatch.setattr(constructions, "_assemble_family", repeated)
+    out = tmp_path / "starter.json"
+    argv = ["construct", "--family", "prime-power", "--p", "5", "--v", "2", "-o", str(out)]
+    assert main(argv) == FAIL
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "construction failed: no candidate filling makes the p=5, v=2 family pass"
+        " verification; first attempt reported:\npassed: False\n"
+        "condition 1 (differences cover Omega exactly once): FAILED\n"
+    )
+    assert "covered 2 times" in captured.err
+
+
 def test_doubling_invalid_starter_exits_1():
     broken = json.loads(golden_starter_json())
     broken["sets"][0]["subgroup_generators"] = []
@@ -429,20 +454,6 @@ def test_messages_print_coordinates_on_a_noncyclic_group():
     r = run_cli("verify-starter", "-", stdin=json.dumps(degenerate))
     assert (r.returncode, r.stdout) == (USAGE, "")
     assert r.stderr == "bad input: degenerate edge at (1, 2)\n"
-
-    partial = starter_from_payload(_z2z6_tampered())
-    A = partial.model.group.subgroup([(0, 1)])
-    with pytest.raises(ConstructionError) as exc:
-        complete_via_index2(partial, A)
-    assert str(exc.value) == (
-        "partial starter cannot be completed: set 0: illegal edge (0, 0)~(1, 0);"
-        " repeats differences: [(1, 1), (1, 5)];"
-        " set 0: coset of (0, 1) has 0 marked endpoints (companion order 6);"
-        " set 4: coset of (1, 0) has 0 marked endpoints (companion order 6);"
-        " set 4: short edge (0, 0)~(1, 3) has difference (1, 3) outside its"
-        " companion subgroup;"
-        " uncovered differences inside the index-2 subgroup: [(0, 1), (0, 5)]"
-    )
 
     fact = json.loads(run_cli("develop", "-", stdin=json.dumps(_Z2Z6)).stdout)
     assert len(fact["factors"]) == 10

@@ -1,24 +1,25 @@
-"""Explicit constructions: the K_{p^v x 2} family, index-2 completion,
+"""Explicit constructions: the K_{p^v x 2} family and its completion,
 doubling, the parity certificate, and the existence classifier."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from oracles import every_translation_invariant
+from starfact import constructions, starters
 from starfact.cayley import build_model
 from starfact.constructions import (
     ConstructionError,
     NonexistenceCertificate,
-    PrimePowerParams,
-    build_prime_power_starter,
     classify_existence,
-    complete_via_index2,
     construct_prime_power,
     double_starter,
     parity_nonexistence,
 )
 from starfact.groups import make_group
+from starfact.serialize import canonical_json, starter_payload
 from starfact.starters import (
     InvalidStarterError,
     Starter,
@@ -31,38 +32,43 @@ from starfact.starters import (
 
 
 def test_params_validation():
-    p = PrimePowerParams.validate(5, 2)
-    assert (p.t, p.t_prime) == (1, 1)
-    p13 = PrimePowerParams.validate(13, 2)
-    assert (p13.t, p13.t_prime) == (3, 3)
+    # t = (p - 1)/4 and t' = (p^(v-1) - 1)/4 show in the 2t' middle sets,
+    # between the special set and the final set
+    s5 = construct_prime_power(5, 2)
+    assert len(s5.sets) - s5.provenance["completed_pairs"] == 1 + 2 + 1
+    s13 = construct_prime_power(13, 2)
+    assert len(s13.sets) - s13.provenance["completed_pairs"] == 1 + 6 + 1
+    assert len(s13.sets[0].edges) == 3 * 3 + 3 - 1 + 2  # 3t + t - 1 + 2 at t = 3
     # t' tracks the exponent: (5^2 - 1)/4 = 6
-    assert PrimePowerParams.validate(5, 3).t_prime == 6
+    s53 = construct_prime_power(5, 3)
+    assert len(s53.sets) - s53.provenance["completed_pairs"] == 1 + 12 + 1
+    assert len(s53.sets[-s53.provenance["completed_pairs"] - 1].edges) == 4 * 6 + 1
     with pytest.raises(ValueError, match="not prime"):
-        PrimePowerParams.validate(6, 2)
+        construct_prime_power(6, 2)
     with pytest.raises(ValueError, match="not congruent"):
-        PrimePowerParams.validate(7, 2)
+        construct_prime_power(7, 2)
     with pytest.raises(ValueError, match="v must be"):
-        PrimePowerParams.validate(5, 1)
+        construct_prime_power(5, 1)
 
 
 def test_partial_family_shape_p5():
-    partial, A = build_prime_power_starter(5, 2)
-    assert list(partial.model.group.cyclic_orders) == [5, 5, 2]
-    assert partial.model.H.sorted_elements == (0, 1)  # (0, 0, 0) and (0, 0, 1)
-    assert A.order == 25
+    starter = construct_prime_power(5, 2)
+    family = starter.sets[:4]
+    assert list(starter.model.group.cyclic_orders) == [5, 5, 2]
+    assert starter.model.H.sorted_elements == (0, 1)  # (0, 0, 0) and (0, 0, 1)
+    assert all(s.subgroup.order == 25 for s in starter.sets[4:])
     # one special set, 2t' = 2 middle sets, one final set; five edges each
     # at p = 5 (3t + t - 1 + 2 = 5, 4t + 1 = 5, 4t' + 1 = 5)
-    assert len(partial.sets) == 4
-    assert [len(s.edges) for s in partial.sets] == [5, 5, 5, 5]
+    assert [len(s.edges) for s in family] == [5, 5, 5, 5]
     # first three sets share the line companion, the final set the column one
-    line = partial.model.group.subgroup([(1, 0, 0)])
-    col = partial.model.group.subgroup([(0, 1, 0)])
-    assert [s.subgroup for s in partial.sets] == [line, line, line, col]
+    line = starter.model.group.subgroup([(1, 0, 0)])
+    col = starter.model.group.subgroup([(0, 1, 0)])
+    assert [s.subgroup for s in family] == [line, line, line, col]
 
 
 def test_underdetermined_slots_resolved_p5():
-    partial, _ = build_prime_power_starter(5, 2)
-    res = partial.provenance["typo_resolutions"]
+    starter = construct_prime_power(5, 2)
+    res = starter.provenance["typo_resolutions"]
     assert res[0] == {"slot": "final_set_bridge_coordinate", "value": 0}
     # at p = 5 the printed columns collide with a middle set's difference,
     # so the lexicographic fallback kicks in
@@ -74,16 +80,15 @@ def test_underdetermined_slots_resolved_p5():
 
 
 def test_underdetermined_slots_resolved_p13():
-    partial, _ = build_prime_power_starter(13, 2)
-    res = partial.provenance["typo_resolutions"]
+    starter = construct_prime_power(13, 2)
+    res = starter.provenance["typo_resolutions"]
     # the printed anchor columns survive at p = 13; only the blank third
     # coordinate needed filling
     assert res == [{"slot": "final_set_bridge_coordinate", "value": 0}]
 
 
 def test_completion_p5():
-    partial, A = build_prime_power_starter(5, 2)
-    starter = complete_via_index2(partial, A)
+    starter = construct_prime_power(5, 2)
     assert len(starter.sets) == 8
     assert starter.provenance["completed_pairs"] == 4
     singles = starter.sets[4:]
@@ -94,11 +99,50 @@ def test_completion_p5():
         (2, 0, 1),
         (2, 2, 1),
     ]
+    A = starter.model.group.subgroup([(1, 0, 0), (0, 1, 0)])
     for s in singles:
         assert len(s.edges) == 1
         assert s.edges[0][0] == 0  # the identity
         assert s.subgroup == A
     assert verify_starter(starter).passed
+
+
+# canonical_json(starter_payload(...)) sha256 of the family beyond the
+# benchmark's p = 5 and 17, so any change to the built bytes shows
+_FAMILY_DIGESTS = {
+    (5, 2): "d06ebecd837f50c8dff1d3a16b85c730a1c67a083b2f133ec6dc67d0c27dd742",
+    (5, 3): "1bd99bcbdb94083f65782c57b881fe8c5459e117940e8199b8695bd2a4e1accd",
+    (13, 2): "229d4afa5e117ea11007191aeed4c80957eef79ec774e5949bd5b6146c29e5ca",
+    (17, 2): "504bbd42b216269145a50ae012920433c6a3f71feddfded9d10d37662a4ada76",
+    (29, 2): "213b2ff95ee0cf234eaee3decb1863c2995fe9df08bee9a55cd15e87cba58c8f",
+    (13, 3): "7570b2c6624bd895f445c1a892560ea06b45474ee924ebfe87587b1ddcdd6f5e",
+    (37, 2): "342b0815008a117c77486ba61e6a9d01a00993fa6e368d21fb6bd93d3b266808",
+}
+
+
+@pytest.mark.parametrize("p, v", list(_FAMILY_DIGESTS))
+def test_prime_power_family_is_pinned(p, v):
+    starter = construct_prime_power(p, v)
+    digest = hashlib.sha256(canonical_json(starter_payload(starter)).encode()).hexdigest()
+    assert digest == _FAMILY_DIGESTS[(p, v)]
+    # the family leaves (p^v - 2p^(v-1) - p - 2)/2 pairs for the singletons
+    assert starter.provenance["completed_pairs"] == (p**v - 2 * p ** (v - 1) - p - 2) // 2
+    assert verify_starter(starter).passed
+
+
+def test_construct_prime_power_scans_each_candidate_twice(monkeypatch):
+    # once to find the uncovered differences, once inside verify_starter
+    calls = []
+    real = starters.scan_sets
+
+    def spy(model, sets):
+        calls.append(len(sets))
+        return real(model, sets)
+
+    monkeypatch.setattr(starters, "scan_sets", spy)
+    monkeypatch.setattr(constructions, "scan_sets", spy)
+    starter = construct_prime_power(17, 2)
+    assert calls == [len(starter.sets) - 118, len(starter.sets)]
 
 
 def test_construct_prime_power_p5_end_to_end():
@@ -130,41 +174,6 @@ def test_prime_power_rejects_bad_parameters():
     for p, v in [(7, 2), (6, 2), (5, 1)]:
         with pytest.raises(ValueError):
             construct_prime_power(p, v)
-
-
-def test_completion_handles_involutions_and_passthrough():
-    g = make_group([2, 2])
-    model = build_model(g.subgroup([(0, 1)]))
-    A = g.subgroup([(1, 0)])
-    covered = StarterSet((model.edge(0, 2),), g.full_subgroup())  # (0, 0) ~ (1, 0)
-    partial = Starter(model, (covered,))
-    done = complete_via_index2(partial, A)
-    assert len(done.sets) == 2
-    extra = done.sets[1]
-    assert extra.edges[0] == model.edge(0, 3)  # (0, 0) ~ (1, 1)
-    # an uncovered involution cannot take A (short edges must keep their
-    # difference inside the companion), so the full group steps in
-    assert extra.subgroup.order == 4
-    assert verify_starter(done).passed
-    assert complete_via_index2(done, A) is done
-
-
-def test_completion_error_paths():
-    g = make_group([2, 2])
-    model = build_model(g.subgroup([(0, 1)]))
-    A = g.subgroup([(1, 0)])
-    empty = Starter(model, ())
-    with pytest.raises(ConstructionError, match="inside the index-2"):
-        complete_via_index2(empty, A)  # (1, 0) uncovered but in A
-    with pytest.raises(ValueError, match="index 2"):
-        complete_via_index2(empty, g.full_subgroup())
-
-    m4 = build_model(make_group([4]).subgroup([(2,)]))
-    e = m4.edge(0, 1)
-    comp = m4.group.subgroup([(2,)])
-    dup = Starter(m4, (StarterSet((e,), comp), StarterSet((e,), comp)))
-    with pytest.raises(ConstructionError, match="repeats differences"):
-        complete_via_index2(dup, comp)
 
 
 def test_doubling_golden():
