@@ -71,7 +71,8 @@ def double_starter(starter: Starter) -> Starter:
     group = make_group(old_group.cyclic_orders + (2,))
 
     def lift(sub: Subgroup) -> Subgroup:
-        gens = [g + (0,) for g in sub.generators] + [(0,) * old_group.rank + (1,)]
+        # old_group is cyclic, so vertex index g is the coordinate (g,)
+        gens = [(g, 0) for g in sub.generators] + [(0, 1)]
         return group.subgroup(gens)
 
     model = build_model(lift(starter.model.H))

@@ -2,8 +2,9 @@
 
 Elements are coordinate tuples reduced modulo the per-factor orders, and
 each is named by its vertex index, its mixed-radix (lexicographic) rank; the
-package works on indices, subgroup elements included, with coordinates only
-in generators, starter JSON and messages.  Index order is lexicographic
+package works on indices, subgroup elements and generators included.
+Coordinates are read only by AbelianGroup.index_of and written only to
+starter JSON and messages, through elements().  Index order is lexicographic
 coordinate order, so every set-valued result, sorted by index, comes back in
 the same order at every run and output is reproducible byte for byte.
 """
@@ -70,17 +71,6 @@ class AbelianGroup:
     def rank(self) -> int:
         return len(self.cyclic_orders)
 
-    def element(self, coords) -> Element:
-        """Reduce a sequence of integer coordinates into the group."""
-        coords = tuple(coords)
-        if len(coords) != len(self.cyclic_orders):
-            raise ValueError(
-                f"expected {len(self.cyclic_orders)} coordinates, got {coords!r}"
-            )
-        if any(type(c) is not int for c in coords):  # exactly int: no bool, float or str
-            raise ValueError(f"coordinates must be integers, got {coords!r}")
-        return tuple(c % n for c, n in zip(coords, self.cyclic_orders))
-
     @cached_property
     def _elements(self) -> tuple[Element, ...]:
         return tuple(itertools.product(*(range(n) for n in self.cyclic_orders)))
@@ -96,12 +86,17 @@ class AbelianGroup:
         return frozenset(x for x, y in enumerate(self.negs) if x == y and x)
 
     def index_of(self, coords) -> int:
-        """Vertex index of a sequence of integer coordinates, reduced as by
-        element: the mixed-radix rank with the first factor most
-        significant.  Input in coordinates converts here."""
+        """Vertex index of a sequence of integer coordinates, each reduced
+        modulo its factor's order: the mixed-radix rank with the first
+        factor most significant.  Input in coordinates converts here."""
+        coords = tuple(coords)
+        if len(coords) != len(self.cyclic_orders):
+            raise ValueError(f"expected {len(self.cyclic_orders)} coordinates, got {coords!r}")
+        if any(type(c) is not int for c in coords):  # exactly int: no bool, float or str
+            raise ValueError(f"coordinates must be integers, got {coords!r}")
         idx = 0
-        for x, n in zip(self.element(coords), self.cyclic_orders):
-            idx = idx * n + x
+        for c, n in zip(coords, self.cyclic_orders):
+            idx = idx * n + c % n
         return idx
 
     def _per_coordinate(self, columns) -> list[int]:
@@ -143,12 +138,10 @@ class AbelianGroup:
         return subgroup_from_generators(self, generators)
 
     def full_subgroup(self) -> Subgroup:
-        gens = []
-        for i in range(len(self.cyclic_orders)):
-            g = [0] * len(self.cyclic_orders)
-            g[i] = 1
-            gens.append(tuple(g))
-        return Subgroup(self, tuple(gens), frozenset(range(self.order)))
+        """The whole group, generated by the unit vector of each factor."""
+        orders = self.cyclic_orders
+        gens = tuple(prod(orders[i + 1 :]) for i in range(len(orders)))
+        return Subgroup(self, gens, frozenset(range(self.order)))
 
     @cached_property
     def subgroups(self) -> tuple[Subgroup, ...]:
@@ -163,7 +156,7 @@ class AbelianGroup:
             for r in sub.coset_reps[1:]:
                 bigger = _adjoin(self, sub.elements, r)
                 if bigger not in found:
-                    found[bigger] = Subgroup(self, sub.generators + (self._elements[r],), bigger)
+                    found[bigger] = Subgroup(self, sub.generators + (r,), bigger)
                     queue.append(found[bigger])
         return tuple(sorted(found.values(), key=lambda s: (s.order, s.sorted_elements)))
 
@@ -171,10 +164,11 @@ class AbelianGroup:
 @dataclass(frozen=True, eq=False)
 class Subgroup:
     """Subgroup of an AbelianGroup, identified by its element set, a set of
-    vertex indices; the generators stay coordinate tuples."""
+    vertex indices; its generators are vertex indices too, in the order
+    they were adjoined."""
 
     group: AbelianGroup
-    generators: tuple[Element, ...]
+    generators: tuple[int, ...]
     elements: frozenset[int]
 
     @property
@@ -245,11 +239,12 @@ def _adjoin(group: AbelianGroup, elems: frozenset[int], g: int) -> frozenset[int
 
 
 def subgroup_from_generators(group: AbelianGroup, generators) -> Subgroup:
-    """Closure of the generators; the empty list gives the trivial subgroup."""
-    gens = tuple(group.element(g) for g in generators)
+    """Closure of generators given in coordinates, each mapped once through
+    index_of; the empty list gives the trivial subgroup."""
+    gens = tuple(map(group.index_of, generators))
     elems = frozenset({0})
     for g in gens:
-        elems = _adjoin(group, elems, group.index_of(g))
+        elems = _adjoin(group, elems, g)
     return Subgroup(group, gens, elems)
 
 

@@ -102,8 +102,6 @@ class _Ctx:
         self.invol = group.involutions
         self.omega_ids = sorted(model.omega)
         self.omega_mask = sum(1 << i for i in self.omega_ids)
-        # A plain list, since _fill reads one row per call.
-        self.rows = [group.translation(w) if c else None for w, c in enumerate(model.H.coset_of)]
 
         self.companions = sorted(group.subgroups, key=lambda s: (-s.order, s.sorted_elements))
         self.comp_index = [s.index for s in self.companions]
@@ -128,7 +126,7 @@ def _fill(ctx: _Ctx, key: tuple[int, int, int]) -> tuple:
     coset = ctx.companions[comp].coset_of
     inv = w in ctx.invol
     fits = []
-    for x, y in enumerate(ctx.rows[w]):
+    for x, y in enumerate(ctx.model.group.translation(w)):
         if x < y or not inv:
             mark = 1 << coset[x] | 1 << coset[y]
             if not mark & hit:
@@ -203,7 +201,7 @@ def _moves(ctx: _Ctx, sets: list, covered: int, slots: int, w: int, anchor: bool
             if anchor:
                 break
     if cut and not anchor:
-        order = len(ctx.rows)
+        order = ctx.model.group.order
         cut *= order // 2 if inv else order
     yield 0, cut
 

@@ -95,7 +95,8 @@ def group_payload(group: AbelianGroup) -> dict:
 
 def generators_payload(sub: Subgroup) -> list[list[int]]:
     """The wire format of a subgroup: its generators as coordinate lists."""
-    return [list(g) for g in sub.generators]
+    el = sub.group.elements()
+    return [list(el[g]) for g in sub.generators]
 
 
 def starter_payload(starter: Starter) -> dict:
@@ -132,10 +133,11 @@ def starter_from_payload(payload: dict) -> Starter:
     sets = []
     companions: dict[tuple, Subgroup] = {}  # closed once per generator list
     for raw in payload["sets"]:
-        gens = tuple(map(group.element, raw["subgroup_generators"]))
-        sub = companions.get(gens)
+        gens = raw["subgroup_generators"]
+        key = tuple(map(index, gens))
+        sub = companions.get(key)
         if sub is None:
-            sub = companions[gens] = subgroup_from_generators(group, gens)
+            sub = companions[key] = subgroup_from_generators(group, gens)
         edges = (pair(index(u), index(v)) for u, v in raw["edges"])
         sets.append(StarterSet(tuple(sorted(edges)), sub))
     provenance = {k: v for k, v in payload.items() if k not in _STARTER_CORE_KEYS}

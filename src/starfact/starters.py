@@ -273,7 +273,7 @@ def check_invariance(fact: OneFactorization) -> bool:
     group = fact.model.group
     order = group.order
     keys = {tuple(u * order + v for u, v in factor) for factor in fact.factors}
-    rows = [group.translation(group.index_of(g)) for g in group.full_subgroup().generators]
+    rows = [group.translation(g) for g in group.full_subgroup().generators]
     for factor in fact.factors:
         us = [u for u, _ in factor]
         vs = [v for _, v in factor]

@@ -1,6 +1,7 @@
 """The library's public surface: the README tour runs as written, every
-name a module exports has a caller in the package or the benchmark, and
-every name a module imports is read there."""
+name a module exports has a caller in the package or the benchmark, every
+name a module imports is read there, and only the library's edges read
+coordinates."""
 
 from __future__ import annotations
 
@@ -89,3 +90,15 @@ def test_every_import_is_read():
                     if name not in reads:
                         unread.append(f"{path.name}: {name}")
     assert not unread, unread
+
+
+def test_coordinates_are_read_only_at_the_edges():
+    # index_of turns coordinates into vertex indices.  Only the groups
+    # themselves, the JSON loader and the explicit constructions, which
+    # write their edges in coordinates, may call it; search, starters,
+    # cayley and the CLI work on indices alone.
+    readers = []
+    for path in sorted((ROOT / "src" / "starfact").glob("*.py")):
+        if "index_of" in _reads(ast.parse(path.read_text())):
+            readers.append(path.name)
+    assert readers == ["constructions.py", "groups.py", "serialize.py"]

@@ -17,8 +17,10 @@ from starfact.groups import (
     enumerate_abelian_groups,
     factorize,
     make_group,
+    subgroup_from_generators,
     subgroups_of_order,
 )
+from starfact.serialize import generators_payload
 
 
 def test_make_group_rejects_bad_orders():
@@ -38,10 +40,10 @@ def test_make_group_rejects_bad_orders():
 
 def test_element_reduction_and_shape():
     g = make_group([5, 5, 2])
-    assert g.element((7, -1, 3)) == (2, 4, 1)
+    assert g.elements()[g.index_of((7, -1, 3))] == (2, 4, 1)
     assert g.elements()[0] == (0, 0, 0)  # vertex 0 is the identity
     with pytest.raises(ValueError):
-        g.element((1, 2))
+        g.index_of((1, 2))
 
 
 def test_arithmetic_examples():
@@ -198,6 +200,22 @@ def test_lattice_listing_is_pinned_and_fast(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, order
     elapsed = time.perf_counter() - start
     assert elapsed < 6.0, f"{elapsed:.2f}s"
+
+
+def test_lattice_generators_round_trip_through_the_wire_format():
+    # Every subgroup of every group of order <= 48 holds its generators as
+    # vertex indices, and closing its wire format gives back the same
+    # elements and the same generators.
+    count = 0
+    for order in range(2, 49):
+        for g in enumerate_abelian_groups(order):
+            for s in g.subgroups:
+                assert all(type(x) is int and 0 <= x < order for x in s.generators)
+                again = subgroup_from_generators(g, generators_payload(s))
+                assert again.elements == s.elements
+                assert again.generators == s.generators
+                count += 1
+    assert count == 1481
 
 
 def test_subgroups_of_order():

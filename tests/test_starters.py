@@ -237,6 +237,30 @@ def test_searched_witnesses_develop_cleanly():
         assert every_translation_invariant(fact)
 
 
+def test_every_small_witness_develops_cleanly():
+    # Every (G, H) with |G| even and at most 24 and both m, n >= 2 is
+    # searched at budget 5,000; each witness develops into a factorization
+    # that verifies and that check_invariance, which translates by the
+    # full subgroup's index generators, and the exhaustive oracle both
+    # find invariant.
+    statuses = {"found": 0, "none_exists": 0, "budget_exceeded": 0}
+    for order in range(4, 25, 2):
+        for group in enumerate_abelian_groups(order):
+            for n in range(2, order // 2 + 1):
+                if order % n:
+                    continue
+                for H in subgroups_of_order(group, n):
+                    outcome = search_starter(build_model(H), budget=5_000)
+                    statuses[outcome.status] += 1
+                    if outcome.witness is None:
+                        continue
+                    fact = develop_factorization(outcome.witness)
+                    assert verify_factorization(fact).passed, (group, H)
+                    assert check_invariance(fact), (group, H)
+                    assert every_translation_invariant(fact), (group, H)
+    assert statuses == {"found": 220, "none_exists": 8, "budget_exceeded": 9}
+
+
 def test_witness_json_round_trips_are_byte_stable():
     # Every search witness on a group of order <= 16, cyclic or not: the
     # starter JSON and the developed factorization JSON both survive a load
