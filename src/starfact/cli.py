@@ -15,6 +15,7 @@ failure, 2 search exhausted with no witness (or nonexistence certified),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -24,7 +25,6 @@ from .constructions import (
     classify_existence,
     construct_prime_power,
     double_starter,
-    parity_nonexistence,
 )
 from .groups import all_subgroups, enumerate_abelian_groups, make_group
 from .search import (
@@ -114,17 +114,14 @@ def _parse_generators(spec: str, rank: int):
     return gens
 
 
-def _read_json(path: str):
-    """The JSON document at path.  Nesting too deep for the parser is
-    malformed input, as a syntax error is."""
+def _read_json(path: str, load):
+    """load applied to the JSON document at path.  A KeyError or TypeError
+    while the document loads, or nesting too deep for the parser, is
+    malformed input, as a syntax error is; anywhere else it is a bug."""
     try:
-        return json.loads(_read_text(path))
-    except RecursionError as exc:
+        return load(json.loads(_read_text(path)))
+    except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(exc) from None
-
-
-def _load_starter(path: str):
-    return starter_from_payload(_read_json(path))
 
 
 def _maybe_emit_edges(args, model) -> None:
@@ -140,14 +137,14 @@ def _cmd_construct(args) -> int:
     else:
         if args.input is None:
             raise ValueError("--family doubling needs --input")
-        starter = double_starter(_load_starter(args.input))
+        starter = double_starter(_read_json(args.input, starter_from_payload))
     _write_text(args.out, canonical_json(starter_payload(starter)))
     _maybe_emit_edges(args, starter.model)
     return EX_OK
 
 
 def _cmd_verify_starter(args) -> int:
-    starter = _load_starter(args.starter)
+    starter = _read_json(args.starter, starter_from_payload)
     report = verify_starter(starter)
     _write_text(args.out, canonical_json(report.payload()))
     _maybe_emit_edges(args, starter.model)
@@ -155,7 +152,7 @@ def _cmd_verify_starter(args) -> int:
 
 
 def _cmd_develop(args) -> int:
-    starter = _load_starter(args.starter)
+    starter = _read_json(args.starter, starter_from_payload)
     fact = develop_factorization(starter)
     _write_text(args.out, canonical_json(factorization_payload(fact)))
     _maybe_emit_edges(args, starter.model)
@@ -163,7 +160,7 @@ def _cmd_develop(args) -> int:
 
 
 def _cmd_verify_factorization(args) -> int:
-    fact = factorization_from_payload(_read_json(args.factorization))
+    fact = _read_json(args.factorization, factorization_from_payload)
     report = verify_factorization(fact)
     payload = report.payload()
     passed = report.passed
@@ -199,11 +196,7 @@ def _cmd_certify_nonexist(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    verdict = classify_existence(args.m, args.n)
-    payload = verdict.payload(args.m, args.n)
-    if verdict.rule == "parity_count":
-        payload["certificate"] = parity_nonexistence(args.m, args.n).payload()
-    _write_text(args.out, canonical_json(payload))
+    _write_text(args.out, canonical_json(classify_existence(args.m, args.n).payload()))
     return EX_OK
 
 
@@ -237,6 +230,7 @@ def _add_workers(parser) -> None:
     )
 
 
+@functools.cache  # built once per process; parsing leaves the parser as it is
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="starfact",
@@ -342,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConstructionError as exc:
         sys.stderr.write(f"construction failed: {exc}\n")
         return EX_FAIL
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:  # JSONDecodeError included
         sys.stderr.write(f"bad input: {exc}\n")
         return EX_USAGE
     except OSError as exc:

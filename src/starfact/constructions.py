@@ -286,103 +286,97 @@ def parity_nonexistence(m: int, n: int) -> NonexistenceCertificate | None:
 
 @dataclass(frozen=True)
 class ExistenceVerdict:
-    status: str  # "exists" | "not_exists" | "unknown"
+    m: int
+    n: int
     rule: str
+    status: str  # "exists" | "not_exists" | "unknown"
     description: str
 
-    def payload(self, m: int, n: int) -> dict:
-        return {
-            "m": m,
-            "n": n,
+    def payload(self) -> dict:
+        out = {
+            "m": self.m,
+            "n": self.n,
             "status": self.status,
             "rule": self.rule,
             "description": self.description,
         }
+        if self.rule == "parity_count":
+            out["certificate"] = parity_nonexistence(self.m, self.n).payload()
+        return out
 
 
-def _two_part(n: int) -> tuple[int, int]:
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v, n
+# rule name -> (status, description)
+_RULES = {
+    "odd_vertex_count": (
+        "not_exists",
+        "a graph with an odd number of vertices has no perfect matching",
+    ),
+    "parity_count": (
+        "not_exists",
+        "m = 3 mod 4 with n twice an odd number fails the parity count",
+    ),
+    "prime_m_pairs": (
+        "not_exists",
+        "K_{p x 2} with p prime, p = 1 mod 4, admits no abelian starter",
+    ),
+    "prime_power_m_pairs": (
+        "exists",
+        "explicit construction for K_{p^v x 2}, p = 1 mod 4, v >= 2",
+    ),
+    "composite_1mod4_pairs": (
+        "exists",
+        "cyclic starter for n = 2 when m = 1 mod 4 is not a prime power",
+    ),
+    "m_multiple_of_4": (
+        "exists",
+        "abelian starter when 4 divides m and n is twice an odd number",
+    ),
+    "both_twice_odd": (
+        "exists",
+        "cyclic starter when m and n are both twice an odd number",
+    ),
+    "even_m_odd_n": ("exists", "cyclic starter when m is even and n is odd"),
+    "even_m_n_multiple_of_4": ("exists", "cyclic starter when m is even and 4 divides n"),
+    "m_1mod4_n_twice_odd": (
+        "exists",
+        "cyclic starter when m = 1 mod 4 and n is twice an odd number > 2",
+    ),
+    "no_rule": ("unknown", "no implemented rule covers this (m, n)"),
+}
+
+
+def _rule(m: int, n: int) -> str:
+    """The name of the first known rule that decides K_{m x n}, or no_rule."""
+    if m < 2 or n < 2:
+        raise ValueError("need m >= 2 and n >= 2")
+    if (m * n) % 2 == 1:
+        return "odd_vertex_count"
+    if parity_nonexistence(m, n) is not None:
+        return "parity_count"
+    if n == 2 and m % 4 == 1:
+        check_group_order(m * n)  # before factorizing m
+        pp = _is_prime_power(m)
+        if pp is None:
+            return "composite_1mod4_pairs"
+        p, v = pp
+        if p % 4 != 1:
+            return "no_rule"
+        return "prime_m_pairs" if v == 1 else "prime_power_m_pairs"
+    if m % 4 == 0 and n % 4 == 2:
+        return "m_multiple_of_4"
+    if m % 4 == 2 and n % 4 == 2:
+        return "both_twice_odd"
+    if m % 2 == 0 and n % 2 == 1:
+        return "even_m_odd_n"
+    if m % 2 == 0 and n % 4 == 0:
+        return "even_m_n_multiple_of_4"
+    if m % 4 == 1 and n % 4 == 2 and n > 2:
+        return "m_1mod4_n_twice_odd"
+    return "no_rule"
 
 
 def classify_existence(m: int, n: int) -> ExistenceVerdict:
     """Decide existence of a K_{m x n} starter over some abelian group when a
     known rule applies; return unknown otherwise, never guessing."""
-    if m < 2 or n < 2:
-        raise ValueError("need m >= 2 and n >= 2")
-    if (m * n) % 2 == 1:
-        return ExistenceVerdict(
-            "not_exists",
-            "odd_vertex_count",
-            "a graph with an odd number of vertices has no perfect matching",
-        )
-    vm = _two_part(m)[0]
-    vn, dn = _two_part(n)
-
-    if parity_nonexistence(m, n) is not None:
-        return ExistenceVerdict(
-            "not_exists",
-            "parity_count",
-            "m = 3 mod 4 with n twice an odd number fails the parity count",
-        )
-    if n == 2 and m % 4 == 1:
-        check_group_order(m * n)  # before factorizing m
-        pp = _is_prime_power(m)
-        if pp is not None:
-            p, v = pp
-            if p % 4 == 1 and v == 1:
-                return ExistenceVerdict(
-                    "not_exists",
-                    "prime_m_pairs",
-                    "K_{p x 2} with p prime, p = 1 mod 4, admits no abelian starter",
-                )
-            if p % 4 == 1 and v >= 2:
-                return ExistenceVerdict(
-                    "exists",
-                    "prime_power_m_pairs",
-                    "explicit construction for K_{p^v x 2}, p = 1 mod 4, v >= 2",
-                )
-            return ExistenceVerdict(
-                "unknown",
-                "no_rule",
-                "no implemented rule covers this (m, n)",
-            )
-        return ExistenceVerdict(
-            "exists",
-            "composite_1mod4_pairs",
-            "cyclic starter for n = 2 when m = 1 mod 4 is not a prime power",
-        )
-    if vm >= 2 and vn == 1:
-        return ExistenceVerdict(
-            "exists",
-            "m_multiple_of_4",
-            "abelian starter when 4 divides m and n is twice an odd number",
-        )
-    if vm == 1 and vn == 1:
-        return ExistenceVerdict(
-            "exists",
-            "both_twice_odd",
-            "cyclic starter when m and n are both twice an odd number",
-        )
-    if vm >= 1 and vn == 0:
-        return ExistenceVerdict(
-            "exists",
-            "even_m_odd_n",
-            "cyclic starter when m is even and n is odd",
-        )
-    if vm >= 1 and vn > 1:
-        return ExistenceVerdict(
-            "exists",
-            "even_m_n_multiple_of_4",
-            "cyclic starter when m is even and 4 divides n",
-        )
-    if m % 4 == 1 and vn == 1 and dn > 1:
-        return ExistenceVerdict(
-            "exists",
-            "m_1mod4_n_twice_odd",
-            "cyclic starter when m = 1 mod 4 and n is twice an odd number > 2",
-        )
-    return ExistenceVerdict("unknown", "no_rule", "no implemented rule covers this (m, n)")
+    rule = _rule(m, n)
+    return ExistenceVerdict(m, n, rule, *_RULES[rule])

@@ -17,12 +17,15 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from starfact import constructions
+from starfact import cli, constructions
 from starfact.cayley import build_model
 from starfact.cli import main
 from starfact.constructions import construct_prime_power
 from starfact.groups import make_group
+from starfact.search import search_starter
 from starfact.serialize import (
     canonical_json,
     factorization_payload,
@@ -648,3 +651,87 @@ def test_malformed_starter_exits_64(tmp_path, capsys, path, value, message):
     ):
         assert main(command) == USAGE
         assert capsys.readouterr() == ("", f"bad input: {message}\n")
+
+
+@pytest.mark.parametrize("error", [TypeError, KeyError])
+def test_library_errors_are_not_reported_as_bad_input(tmp_path, monkeypatch, error):
+    # Only loading a document judges its shape; the same exception raised
+    # later is a bug and must surface as one, not as exit 64.
+    def broken(starter):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "verify_starter", broken)
+    starter = tmp_path / "starter.json"
+    starter.write_text(golden_starter_json())
+    with pytest.raises(error, match="injected"):
+        main(["verify-starter", str(starter)])
+
+
+def _fuzz_documents():
+    z4z3 = search_starter(build_model(make_group([4, 3]).subgroup([(2, 0)]))).witness
+    z12 = search_starter(build_model(make_group([12]).subgroup([(6,)]))).witness
+    return [
+        starter_payload(z4z3),
+        starter_payload(z12),
+        factorization_payload(develop_factorization(z4z3)),
+    ]
+
+
+_FUZZ_DOCUMENTS = _fuzz_documents()
+_FUZZ_VALUES = [0, 1, -1, 2, 3, 12, 10**6, 1.5, True, False, None, "", "1", [], {},
+                [0], [0, 1], [0, 1, 2], [[0, 1]], [[0], [1]], [1.5]]
+
+
+def _json_paths(doc, path=()):
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+@st.composite
+def _mutated_documents(draw):
+    """One of the fuzz documents with one or two JSON paths, the root
+    included, replaced by a value from a fixed list, or a key deleted."""
+    doc = copy.deepcopy(draw(st.sampled_from(_FUZZ_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_json_paths(doc))))
+        value = copy.deepcopy(draw(st.sampled_from(_FUZZ_VALUES)))
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=500, database=None, derandomize=True, deadline=None)
+@given(doc=_mutated_documents())
+def test_mutated_documents_exit_0_1_or_64(fuzz_dir, doc):
+    # Every command that loads a document judges or rejects a mutated one,
+    # and no exception escapes main.
+    src = fuzz_dir / "doc.json"
+    src.write_text(json.dumps(doc))
+    out = str(fuzz_dir / "out.json")
+    for command in (
+        ["verify-starter", str(src)],
+        ["develop", str(src)],
+        ["construct", "--family", "doubling", "--input", str(src)],
+        ["verify-factorization", "--invariance", str(src)],
+    ):
+        assert main([*command, "-o", out]) in (OK, FAIL, USAGE), command

@@ -258,9 +258,24 @@ def test_classification_table():
     for (m, n), (status, rule) in expected.items():
         verdict = classify_existence(m, n)
         assert (verdict.status, verdict.rule) == (status, rule), (m, n)
-        payload = verdict.payload(m, n)
+        payload = verdict.payload()
         assert payload["m"] == m and payload["n"] == n
         assert payload["status"] == status
+
+
+def test_classifier_bytes_are_pinned():
+    # sha256 over the canonical payload of every (m, n) with m, n >= 2 and
+    # mn <= 2000, m in the outer loop; the pin is the hash of the classify
+    # command's artifacts over the same pairs, parity certificates included.
+    digest = hashlib.sha256()
+    rules = set()
+    for m in range(2, 1001):
+        for n in range(2, 2000 // m + 1):
+            verdict = classify_existence(m, n)
+            rules.add(verdict.rule)
+            digest.update(canonical_json(verdict.payload()).encode())
+    assert digest.hexdigest() == "e9bf564388e870f48c59be2b8e6233bf51d90ea402807631d1f340f8f9a7fe68"
+    assert rules == set(constructions._RULES)
 
 
 def test_classification_rejects_degenerate_parameters():
