@@ -29,10 +29,18 @@ placement entry (hit mask 0) is never empty.  The odd-slot bound cuts a
 node with an open set whose slots left are odd and whose companion has no
 uncovered involution; it is checked only where a move can change it.
 
+The subtree below a node depends only on its state: the cover, which also
+fixes the next difference and the open-slot total, and the (companion,
+slots left, hit-coset mask) of each open set with slots left.  The edges
+and the order of the sets change only the order of the walk.  So the walk
+keeps a table from state to the number of nodes below it, stored when a
+level ends with no starter met below it, and a node whose state is in the
+table adds that number instead of walking its subtree again.
+
 Every search runs in one process as one walk from the root.  Budgets count
-search-tree nodes in depth-first order, the root included, and the
-children cut by the slot-sum bound still count, one node each; a search
-stops as soon as its outcome is decided.
+search-tree nodes in depth-first order, the root included; the children
+cut by the slot-sum bound and the nodes credited from the table still
+count, one node each.  A search stops as soon as its outcome is decided.
 
 The brute-force oracle that cross-checks the search on small models lives
 with the tests, in tests/oracles.py.
@@ -251,23 +259,34 @@ def _walk(ctx: _Ctx, cap: int | None, collect: bool):
     change that for any set, so every set is checked; any other move
     changes no parity and covers no involution, so only a set it opened
     needs checking.
+
+    Each level also keeps its node's state key, the node count and the
+    number of hits when it was pushed.  When it pops with no new hit, sizes
+    maps the key to the nodes counted since; a later node with that key
+    adds them instead of pushing a level.  The sum passes cap exactly when
+    a node-by-node walk of the same hit-free subtree would, so a budget
+    stops with the same count, and a walk that stops stores nothing for its
+    open levels.
     """
     anchor = not collect
     invol = ctx.invol
     invol_omega = ctx.comp_invol_omega
     sets: list[list] = []
     hits: list[list] = []
+    sizes: dict = {}  # state key -> nodes below a hit-free node of that state
     nodes = 0
     w = ctx.omega_ids[0]
-    stack = [(_moves(ctx, sets, 0, 0, w, anchor), w in invol, 0)]
+    stack = [(_moves(ctx, sets, 0, 0, w, anchor), w in invol, 0, None, 0, 0)]
     while stack:
-        level, inv, before = stack[-1]
+        level, inv, before, key, start, found = stack[-1]
         covered, slots = next(level)
         if not covered:  # a move always covers w; slots counts the cut children
             stack.pop()
             nodes += slots
             if cap is not None and nodes > cap:
                 return cap, hits, True
+            if len(hits) == found:
+                sizes[key] = nodes - start
             continue
         nodes += 1
         if cap is not None and nodes > cap:
@@ -285,8 +304,17 @@ def _walk(ctx: _Ctx, cap: int | None, collect: bool):
             s = sets[-1]
             if s[1] % 2 and not invol_omega[s[0]] & free:
                 continue
+        key = covered, tuple(sorted([(s[0], s[1], s[2]) for s in sets if s[1]]))
+        size = sizes.get(key)
+        if size is not None:
+            nodes += size
+            if cap is not None and nodes > cap:
+                return cap, hits, True
+            continue
         w = (free & -free).bit_length() - 1
-        stack.append((_moves(ctx, sets, covered, slots, w, anchor), w in invol, len(sets)))
+        stack.append(
+            (_moves(ctx, sets, covered, slots, w, anchor), w in invol, len(sets), key, nodes, len(hits))
+        )
     return nodes, hits, False
 
 
@@ -315,8 +343,6 @@ def search_starter(
         raise ValueError(f"budget must be at least 0, got {budget}")
     ctx = _Ctx(model)
     tried = tuple(ctx.companions[c] for c in _root_branches(ctx))
-    if budget == 0:
-        return SearchOutcome(BUDGET_EXCEEDED, None, 0, tried)
     collect = mode == "all"
     # The root costs one node; the walk counts the nodes below it.
     nodes, hits, aborted = _walk(ctx, None if budget is None else budget - 1, collect)

@@ -1,7 +1,7 @@
 """The library's public surface: the README tour runs as written, every
 name a module exports has a caller in the package or the benchmark, every
-name a module imports is read there, and only the library's edges read
-coordinates."""
+name a module imports is read there, the package imports only a pinned set
+of outside modules, and only the library's edges read coordinates."""
 
 from __future__ import annotations
 
@@ -90,6 +90,30 @@ def test_every_import_is_read():
                     if name not in reads:
                         unread.append(f"{path.name}: {name}")
     assert not unread, unread
+
+
+def test_outside_imports_are_pinned():
+    # Importing starfact imports every module, so an added import costs
+    # every process that uses the package at start-up; add one here on
+    # purpose or not at all.  Imports within the package cost nothing more.
+    imported = set()
+    for path in sorted((ROOT / "src" / "starfact").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module)
+    assert imported == {
+        "__future__",
+        "argparse",
+        "collections",
+        "dataclasses",
+        "functools",
+        "itertools",
+        "json",
+        "math",
+        "sys",
+    }
 
 
 def test_coordinates_are_read_only_at_the_edges():

@@ -304,10 +304,14 @@ def test_moves_apply_no_child_that_fails_the_slot_bound(monkeypatch):
             yield covered, slots
 
     monkeypatch.setattr(starfact.search, "_moves", checked)
-    out = search_starter(_model([2, 3, 3], [(1, 0, 0), (0, 1, 0)]), mode="exhaust")
+    model = _model([2, 3, 3], [(1, 0, 0), (0, 1, 0)])
+    out = search_starter(model, mode="exhaust")
     assert (out.status, out.nodes_explored) == (NONE_EXISTS, 15_869)
-    # _root_branches applies the root level's children once more.
-    assert 1 + applied + cut == 15_869 + len(out.subgroups_tried)
+    assert reference_walk(model, "exhaust")[:2] == (NONE_EXISTS, 15_869)
+    # _root_branches applies the root level's children once more.  Fewer
+    # children are applied or cut than the tree has nodes, since a subtree
+    # whose state the walk has already met is counted from its table.
+    assert 1 + applied + cut < 15_869 + len(out.subgroups_tried)
     assert cut > 0
 
 
@@ -430,6 +434,47 @@ def test_existence_atlas_agrees_with_classifier():
             checked.add((m, n))
     assert len(checked) == 32 and _UNKNOWN_PAIRS_WITH_WITNESSES <= checked
     assert time.perf_counter() - start < 10.0
+
+
+@pytest.mark.parametrize(
+    "m, n, status, nodes",
+    [
+        # Counted node by node before subtrees were counted from the table.
+        (3, 10, "certified", [38_195_705]),
+        (15, 2, "certified", [1_686_033_019_041]),
+        # The first pair exhausts its tree before the second gives a witness.
+        (12, 2, "witness", [1_480_536_227, 13]),
+    ],
+)
+def test_unbudgeted_certification_of_large_trees(m, n, status, nodes):
+    # Each tree has millions of nodes or more, so a walk that visits every
+    # node one by one misses the ceiling by far.
+    start = time.perf_counter()
+    r = certify_nonexistence(m, n)
+    assert (r.status, [p["nodes_explored"] for p in r.pairs]) == (status, nodes)
+    assert time.perf_counter() - start < 30.0
+
+
+def test_classifier_never_contradicts_certified_search():
+    # Every (m, n) with mn even and at most 36, searched to a million nodes
+    # per pair: no rule's verdict meets the opposite search result, every
+    # pair the rules leave unknown has a witness, and the two rows left
+    # undecided are the ones certified without a budget above.
+    rows, undecided = 0, set()
+    for mn in range(4, 37, 2):
+        for n in range(2, mn // 2 + 1):
+            if mn % n:
+                continue
+            m = mn // n
+            verdict = classify_existence(m, n).status
+            result = certify_nonexistence(m, n, budget=10**6).status
+            contradictions = {("exists", "certified"), ("not_exists", "witness")}
+            assert (verdict, result) not in contradictions, (m, n)
+            assert verdict != "unknown" or result == "witness", (m, n)
+            if result == BUDGET_EXCEEDED:
+                undecided.add((m, n))
+            rows += 1
+    assert (rows, undecided) == (57, {(3, 10), (15, 2)})
 
 
 def test_certify_finds_witness_and_stops():
