@@ -68,6 +68,11 @@ _STATUS_EXIT = {
     CERTIFIED: EX_NONE,
 }
 
+_BUDGET_HELP = (
+    "(default unlimited; an unbudgeted run keeps one table entry per distinct"
+    " hit-free state, so its memory grows with the tree)"
+)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
@@ -124,12 +129,7 @@ def _read_json(path: str, load):
         raise ValueError(exc) from None
 
 
-def _maybe_emit_edges(args, model) -> None:
-    if getattr(args, "emit_edges", None):
-        _write_text(args.emit_edges, export_edge_list(model))
-
-
-def _cmd_construct(args) -> int:
+def _cmd_construct(args):
     if args.family == "prime-power":
         if args.p is None or args.v is None:
             raise ValueError("--family prime-power needs --p and --v")
@@ -138,39 +138,27 @@ def _cmd_construct(args) -> int:
         if args.input is None:
             raise ValueError("--family doubling needs --input")
         starter = double_starter(_read_json(args.input, starter_from_payload))
-    _write_text(args.out, canonical_json(starter_payload(starter)))
-    _maybe_emit_edges(args, starter.model)
-    return EX_OK
+    return starter_payload(starter), EX_OK, starter.model
 
 
-def _cmd_verify_starter(args) -> int:
+def _cmd_verify_starter(args):
     starter = _read_json(args.starter, starter_from_payload)
     report = verify_starter(starter)
-    _write_text(args.out, canonical_json(report.payload()))
-    _maybe_emit_edges(args, starter.model)
-    return EX_OK if report.passed else EX_FAIL
+    return report.payload(), EX_OK if report.passed else EX_FAIL, starter.model
 
 
-def _cmd_develop(args) -> int:
+def _cmd_develop(args):
     starter = _read_json(args.starter, starter_from_payload)
-    fact = develop_factorization(starter)
-    _write_text(args.out, canonical_json(factorization_payload(fact)))
-    _maybe_emit_edges(args, starter.model)
-    return EX_OK
+    return factorization_payload(develop_factorization(starter)), EX_OK, starter.model
 
 
-def _cmd_verify_factorization(args) -> int:
+def _cmd_verify_factorization(args):
     fact = _read_json(args.factorization, factorization_from_payload)
-    report = verify_factorization(fact)
-    payload = report.payload()
-    passed = report.passed
+    payload = verify_factorization(fact).payload()
     if args.invariance:
-        invariant = check_invariance(fact)
-        payload["invariant"] = invariant
-        passed = passed and invariant
-        payload["passed"] = passed
-    _write_text(args.out, canonical_json(payload))
-    return EX_OK if passed else EX_FAIL
+        payload["invariant"] = check_invariance(fact)
+        payload["passed"] = payload["passed"] and payload["invariant"]
+    return payload, EX_OK if payload["passed"] else EX_FAIL, None
 
 
 def _check_workers(args) -> None:
@@ -178,29 +166,25 @@ def _check_workers(args) -> None:
         raise ValueError(f"workers must be at least 1, got {args.workers}")
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args):
     _check_workers(args)
     group = _parse_group(args.group)
     model = build_model(group.subgroup(_parse_generators(args.H, group.rank)))
     outcome = search_starter(model, mode=args.mode, budget=args.budget)
-    _write_text(args.out, canonical_json(outcome.payload()))
-    _maybe_emit_edges(args, model)
-    return _STATUS_EXIT[outcome.status]
+    return outcome.payload(), _STATUS_EXIT[outcome.status], model
 
 
-def _cmd_certify_nonexist(args) -> int:
+def _cmd_certify_nonexist(args):
     _check_workers(args)
     result = certify_nonexistence(args.m, args.n, budget=args.budget)
-    _write_text(args.out, canonical_json(result.payload()))
-    return _STATUS_EXIT[result.status]
+    return result.payload(), _STATUS_EXIT[result.status], None
 
 
-def _cmd_classify(args) -> int:
-    _write_text(args.out, canonical_json(classify_existence(args.m, args.n).payload()))
-    return EX_OK
+def _cmd_classify(args):
+    return classify_existence(args.m, args.n).payload(), EX_OK, None
 
 
-def _cmd_groups(args) -> int:
+def _cmd_groups(args):
     out = []
     for group in enumerate_abelian_groups(args.order):
         entry = group_payload(group)
@@ -210,8 +194,7 @@ def _cmd_groups(args) -> int:
                 for sub in all_subgroups(group)
             ]
         out.append(entry)
-    _write_text(args.out, canonical_json({"order": args.order, "groups": out}))
-    return EX_OK
+    return {"order": args.order, "groups": out}, EX_OK, None
 
 
 def _add_out(parser) -> None:
@@ -289,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop at the first witness, certify emptiness, or enumerate all"
         " (all keeps every witness in memory: bound it with --budget)",
     )
-    p.add_argument("--budget", type=int, help="node budget (default unlimited)")
+    p.add_argument("--budget", type=int, help="node budget " + _BUDGET_HELP)
     _add_workers(p)
     p.add_argument("--emit-edges", help="also write the model edge list here")
     _add_out(p)
@@ -301,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, help="node budget per (group, H) pair")
+    p.add_argument("--budget", type=int, help="node budget per (group, H) pair " + _BUDGET_HELP)
     _add_workers(p)
     _add_out(p)
     p.set_defaults(func=_cmd_certify_nonexist)
@@ -329,7 +312,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, code, model = args.func(args)
+        _write_text(args.out, canonical_json(payload))
+        if getattr(args, "emit_edges", None):
+            _write_text(args.emit_edges, export_edge_list(model))
+        return code
     except InvalidStarterError as exc:
         sys.stderr.write(exc.report.summary() + "\n")
         return EX_FAIL

@@ -61,7 +61,6 @@ class AbelianGroup:
         order = prod(orders)
         check_group_order(order)
         object.__setattr__(self, "cyclic_orders", orders)
-        object.__setattr__(self, "_rows", [None] * order)  # see translation
 
     @cached_property
     def order(self) -> int:
@@ -107,9 +106,13 @@ class AbelianGroup:
             out = [a * n + c for a in out for c in col]
         return out
 
+    @cached_property
+    def _rows(self) -> list[list[int] | None]:  # see translation
+        return [None] * self.order
+
     def translation(self, g: int) -> list[int]:
         """Row of x + g for every vertex index x, with g a vertex index.
-        Each row is built on first use and kept on the group."""
+        Rows, and the table that holds them, are built on first use."""
         row = self._rows[g]
         if row is None:
             shifted = zip(self._elements[g], self.cyclic_orders)
@@ -201,8 +204,14 @@ class Subgroup:
 
     @cached_property
     def coset_reps(self) -> tuple[int, ...]:
-        """Vertex index of the least element of each coset, by coset number."""
-        return tuple(map(self.coset_of.index, range(self.index)))
+        """Vertex index of the least element of each coset, by coset number.
+        Cosets are numbered by least element, so coset c is new at the index
+        where c reps are already found: one pass over coset_of."""
+        reps = []
+        for i, c in enumerate(self.coset_of):
+            if c == len(reps):
+                reps.append(i)
+        return tuple(reps)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subgroup):

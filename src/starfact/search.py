@@ -335,7 +335,8 @@ def search_starter(
     the outcome is budget_exceeded, never a silent none_exists; a negative
     budget raises ValueError before any search.
     The search runs in this process and returns as soon as its outcome is
-    decided.
+    decided.  An unbudgeted search keeps one table entry per distinct
+    hit-free state, so its memory grows with the tree.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -385,7 +386,8 @@ def certify_nonexistence(m: int, n: int, budget: int | None = None) -> Certifica
     of order n.  certified means every pair exhausted with no witness; a
     budget_exceeded on any pair downgrades the result, never silently.  A
     negative budget raises ValueError from the first pair's search_starter,
-    before it searches."""
+    before it searches.  Without a budget each search keeps one table entry
+    per distinct hit-free state, so its memory grows with the tree."""
     if m < 2 or n < 2:
         raise ValueError("need m >= 2 and n >= 2")
     if (m * n) % 2 == 1:

@@ -1,7 +1,8 @@
 """The library's public surface: the README tour runs as written, every
 name a module exports has a caller in the package or the benchmark, every
 name a module imports is read there, the package imports only a pinned set
-of outside modules, and only the library's edges read coordinates."""
+of outside modules, only the library's edges read coordinates, and only
+cli.main writes an artifact."""
 
 from __future__ import annotations
 
@@ -126,3 +127,18 @@ def test_coordinates_are_read_only_at_the_edges():
         if "index_of" in _reads(ast.parse(path.read_text())):
             readers.append(path.name)
     assert readers == ["constructions.py", "groups.py", "serialize.py"]
+
+
+def test_only_main_writes_in_the_cli():
+    # Each subcommand returns its payload, exit code and model; main alone
+    # encodes the artifact and writes it and the edge list.
+    tree = ast.parse((ROOT / "src" / "starfact" / "cli.py").read_text())
+    writers = set()
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                "_write_text",
+                "canonical_json",
+            ):
+                writers.add(getattr(stmt, "name", None))
+    assert writers == {"main"}

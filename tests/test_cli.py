@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starfact import cli, constructions
-from starfact.cayley import build_model
+from starfact.cayley import build_model, export_edge_list
 from starfact.cli import main
 from starfact.constructions import construct_prime_power
 from starfact.groups import make_group
@@ -211,6 +211,44 @@ def test_emit_edges(tmp_path):
     assert edges.read_text() == "0 1\n0 3\n1 2\n2 3\n"
 
 
+def _failing_starter_json() -> str:
+    broken = json.loads(golden_starter_json())
+    broken["sets"][0]["subgroup_generators"] = []  # trivial companion
+    return json.dumps(broken)
+
+
+@pytest.mark.parametrize(
+    "args, code, model",
+    [
+        (["construct", "--family", "prime-power", "--p", "5", "--v", "2"], OK,
+         lambda: construct_prime_power(5, 2).model),
+        (["verify-starter", "STARTER"], OK,
+         lambda: starter_from_payload(json.loads(golden_starter_json())).model),
+        (["verify-starter", "FAILING"], FAIL,
+         lambda: starter_from_payload(json.loads(_failing_starter_json())).model),
+        (["develop", "STARTER"], OK,
+         lambda: starter_from_payload(json.loads(golden_starter_json())).model),
+        (["search", "--group", "12", "--H", "6"], OK,
+         lambda: build_model(make_group([12]).subgroup([(6,)]))),
+        (["search", "--group", "12", "--H", "6", "--budget", "1"], BUDGET,
+         lambda: build_model(make_group([12]).subgroup([(6,)]))),
+    ],
+)
+def test_emit_edges_writes_the_model_edge_list(tmp_path, capsys, args, code, model):
+    # --emit-edges writes export_edge_list of the command's model byte for
+    # byte, on a nonzero exit too; with both on stdout the artifact comes
+    # first, then the edge list.
+    (tmp_path / "STARTER").write_text(golden_starter_json())
+    (tmp_path / "FAILING").write_text(_failing_starter_json())
+    args = [str(tmp_path / a) if a in ("STARTER", "FAILING") else a for a in args]
+    out, edges = tmp_path / "out.json", tmp_path / "edges.txt"
+    assert main([*args, "-o", str(out), "--emit-edges", str(edges)]) == code
+    assert edges.read_text() == export_edge_list(model())
+    capsys.readouterr()
+    assert main([*args, "-o", "-", "--emit-edges", "-"]) == code
+    assert capsys.readouterr().out == out.read_text() + edges.read_text()
+
+
 def test_usage_errors_exit_64():
     assert run_cli("no-such-command").returncode == USAGE
     assert run_cli("search", "--group", "4").returncode == USAGE  # missing --H
@@ -229,6 +267,23 @@ def test_usage_errors_exit_64():
     assert run_cli("certify-nonexist", "--m", "2", "--n", "2",
                    "--budget", "-5").returncode == USAGE
     assert run_cli("verify-starter", "/no/such/file.json").returncode == USAGE
+
+
+def test_groups_of_order_one_million_fit_in_512_mib():
+    # Listing groups builds no translation row, so no group allocates its
+    # row table; 121 tables of 10^6 slots each raised MemoryError here.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    r = subprocess.run(
+        [sys.executable, "-m", "starfact.cli", "groups", "--order", "1000000"],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit,
+        timeout=30,
+    )
+    assert r.returncode == OK, r.stderr
+    assert len(json.loads(r.stdout)["groups"]) == 121
 
 
 def _limit_memory():

@@ -237,13 +237,35 @@ def test_searched_witnesses_develop_cleanly():
         assert every_translation_invariant(fact)
 
 
+def _first_edge_moved(starter):
+    """The starter with its first edge (u, v) moved to (u, v'), v' the least
+    vertex in another part whose difference pair differs, or None when
+    there is none (Omega is the one pair {v - u, u - v})."""
+    model, group = starter.model, starter.model.group
+    first = starter.sets[0]
+    u, v = first.edges[0]
+    coset = model.H.coset_of
+    d = group.difference(u, v)
+    others = [
+        w
+        for w in range(group.order)
+        if coset[w] != coset[u] and group.difference(u, w) not in (d, group.negs[d])
+    ]
+    if not others:
+        return None
+    edges = tuple(sorted((model.pair(u, others[0]),) + first.edges[1:]))
+    return Starter(model, (StarterSet(edges, first.subgroup),) + starter.sets[1:])
+
+
 def test_every_small_witness_develops_cleanly():
     # Every (G, H) with |G| even and at most 24 and both m, n >= 2 is
     # searched at budget 5,000; each witness develops into a factorization
     # that verifies and that check_invariance, which translates by the
     # full subgroup's index generators, and the exhaustive oracle both
-    # find invariant.
+    # find invariant.  Moving its first edge leaves {v - u, u - v}
+    # uncovered, so condition 1 must fail.
     statuses = {"found": 0, "none_exists": 0, "budget_exceeded": 0}
+    moved = 0
     for order in range(4, 25, 2):
         for group in enumerate_abelian_groups(order):
             for n in range(2, order // 2 + 1):
@@ -258,7 +280,12 @@ def test_every_small_witness_develops_cleanly():
                     assert verify_factorization(fact).passed, (group, H)
                     assert check_invariance(fact), (group, H)
                     assert every_translation_invariant(fact), (group, H)
+                    tampered = _first_edge_moved(outcome.witness)
+                    if tampered is not None:
+                        assert not verify_starter(tampered).condition1.ok, (group, H)
+                        moved += 1
     assert statuses == {"found": 220, "none_exists": 8, "budget_exceeded": 9}
+    assert moved == 219  # all but Z4 with H = <2>
 
 
 def test_witness_json_round_trips_are_byte_stable():
