@@ -69,8 +69,8 @@ _STATUS_EXIT = {
 }
 
 _BUDGET_HELP = (
-    "(default unlimited; an unbudgeted run keeps one table entry per distinct"
-    " hit-free state, so its memory grows with the tree)"
+    "(default unlimited; the search's table of hit-free states stops growing"
+    " at a fixed size, so an unbudgeted run's memory stays bounded)"
 )
 
 

@@ -35,20 +35,12 @@ __all__ = [
 class ConstructionError(ValueError):
     """No candidate filling of a construction passed verification."""
 
-    def __init__(self, message: str, details=None):
-        super().__init__(message)
-        self.details = details
-
 
 def _is_prime_power(n: int) -> tuple[int, int] | None:
     fac = factorize(n)
     if len(fac) == 1:
         return fac[0]
     return None
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and _is_prime_power(n) == (n, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +161,7 @@ def construct_prime_power(p: int, v: int) -> Starter:
         raise ValueError(f"v must be >= 2, got {v}")
     if p >= 2:
         check_group_order(2 * p ** min(v, MAX_GROUP_ORDER.bit_length()), f"2 * {p}^{v}")
-    if not _is_prime(p):
+    if p < 2 or factorize(p) != [(p, 1)]:
         raise ValueError(f"p = {p} is not prime")
     if p % 4 != 1:
         raise ValueError(f"p = {p} is not congruent to 1 mod 4")
@@ -218,8 +210,7 @@ def construct_prime_power(p: int, v: int) -> Starter:
                 first_report = report
     raise ConstructionError(
         f"no candidate filling makes the p={p}, v={v} family pass verification;"
-        f" first attempt reported:\n{first_report.summary()}",
-        details=first_report,
+        f" first attempt reported:\n{first_report.summary()}"
     )
 
 

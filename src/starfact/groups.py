@@ -12,7 +12,7 @@ the same order at every run and output is reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
 
@@ -164,14 +164,14 @@ class AbelianGroup:
         return tuple(sorted(found.values(), key=lambda s: (s.order, s.sorted_elements)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Subgroup:
-    """Subgroup of an AbelianGroup, identified by its element set, a set of
-    vertex indices; its generators are vertex indices too, in the order
-    they were adjoined."""
+    """Subgroup of an AbelianGroup, identified by its group and its element
+    set, a set of vertex indices; its generators, vertex indices in the
+    order they were adjoined, take no part in equality or hashing."""
 
     group: AbelianGroup
-    generators: tuple[int, ...]
+    generators: tuple[int, ...] = field(compare=False)
     elements: frozenset[int]
 
     @property
@@ -212,17 +212,6 @@ class Subgroup:
             if c == len(reps):
                 reps.append(i)
         return tuple(reps)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subgroup):
-            return NotImplemented
-        return (
-            self.group.cyclic_orders == other.group.cyclic_orders
-            and self.elements == other.elements
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.group.cyclic_orders, self.elements))
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {list(self.group.cyclic_orders)})"

@@ -33,9 +33,9 @@ The subtree below a node depends only on its state: the cover, which also
 fixes the next difference and the open-slot total, and the (companion,
 slots left, hit-coset mask) of each open set with slots left.  The edges
 and the order of the sets change only the order of the walk.  So the walk
-keeps a table from state to the number of nodes below it, stored when a
-level ends with no starter met below it, and a node whose state is in the
-table adds that number instead of walking its subtree again.
+keeps a table, of at most _MAX_STATES entries, from state to the number of
+nodes below a level that ended with no starter met below it; a node whose
+state is in the table adds that number instead of walking its subtree again.
 
 Every search runs in one process as one walk from the root.  Budgets count
 search-tree nodes in depth-first order, the root included; the children
@@ -69,6 +69,9 @@ CERTIFIED = "certified"
 WITNESS = "witness"
 
 _MODES = ("first", "exhaust", "all")
+
+# The walk's state table is only a cache, so it stops growing here.
+_MAX_STATES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -115,10 +118,7 @@ class _Ctx:
         self.comp_index = [s.index for s in self.companions]
         # A list per companion, since _moves reads it at every node.
         self.comp_member = [[x in s.elements for x in range(group.order)] for s in self.companions]
-        self.comp_invol_omega = [
-            sum(1 << i for i in self.omega_ids if i in self.invol and member[i])
-            for member in self.comp_member
-        ]
+        self.comp_invol = [sum(1 << i for i in self.invol if member[i]) for member in self.comp_member]
         self.fits: dict[tuple[int, int, int], tuple] = {}  # filled by _fill
 
 
@@ -262,15 +262,15 @@ def _walk(ctx: _Ctx, cap: int | None, collect: bool):
 
     Each level also keeps its node's state key, the node count and the
     number of hits when it was pushed.  When it pops with no new hit, sizes
-    maps the key to the nodes counted since; a later node with that key
-    adds them instead of pushing a level.  The sum passes cap exactly when
-    a node-by-node walk of the same hit-free subtree would, so a budget
-    stops with the same count, and a walk that stops stores nothing for its
-    open levels.
+    maps the key to the nodes counted since, unless it is full; a later
+    node with that key adds them instead of pushing a level.  The sum
+    passes cap exactly when a node-by-node walk of the same hit-free subtree
+    would, so a budget stops with the same count; a walk that stops stores
+    nothing for its open levels.
     """
     anchor = not collect
     invol = ctx.invol
-    invol_omega = ctx.comp_invol_omega
+    comp_invol = ctx.comp_invol
     sets: list[list] = []
     hits: list[list] = []
     sizes: dict = {}  # state key -> nodes below a hit-free node of that state
@@ -285,7 +285,7 @@ def _walk(ctx: _Ctx, cap: int | None, collect: bool):
             nodes += slots
             if cap is not None and nodes > cap:
                 return cap, hits, True
-            if len(hits) == found:
+            if len(hits) == found and len(sizes) < _MAX_STATES:
                 sizes[key] = nodes - start
             continue
         nodes += 1
@@ -298,11 +298,11 @@ def _walk(ctx: _Ctx, cap: int | None, collect: bool):
                 break
             continue
         if inv:
-            if any(s[1] % 2 and not invol_omega[s[0]] & free for s in sets):
+            if any(s[1] % 2 and not comp_invol[s[0]] & free for s in sets):
                 continue
         elif len(sets) > before:
             s = sets[-1]
-            if s[1] % 2 and not invol_omega[s[0]] & free:
+            if s[1] % 2 and not comp_invol[s[0]] & free:
                 continue
         key = covered, tuple(sorted([(s[0], s[1], s[2]) for s in sets if s[1]]))
         size = sizes.get(key)
@@ -335,8 +335,8 @@ def search_starter(
     the outcome is budget_exceeded, never a silent none_exists; a negative
     budget raises ValueError before any search.
     The search runs in this process and returns as soon as its outcome is
-    decided.  An unbudgeted search keeps one table entry per distinct
-    hit-free state, so its memory grows with the tree.
+    decided.  Its state table stops at _MAX_STATES entries, so memory stays
+    bounded without a budget.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -386,8 +386,8 @@ def certify_nonexistence(m: int, n: int, budget: int | None = None) -> Certifica
     of order n.  certified means every pair exhausted with no witness; a
     budget_exceeded on any pair downgrades the result, never silently.  A
     negative budget raises ValueError from the first pair's search_starter,
-    before it searches.  Without a budget each search keeps one table entry
-    per distinct hit-free state, so its memory grows with the tree."""
+    before it searches.  Each search's state table stops at _MAX_STATES
+    entries, so memory stays bounded without a budget."""
     if m < 2 or n < 2:
         raise ValueError("need m >= 2 and n >= 2")
     if (m * n) % 2 == 1:

@@ -11,7 +11,6 @@ from oracles import every_translation_invariant
 from starfact import constructions, starters
 from starfact.cayley import build_model
 from starfact.constructions import (
-    ConstructionError,
     NonexistenceCertificate,
     classify_existence,
     construct_prime_power,
@@ -283,8 +282,3 @@ def test_classification_rejects_degenerate_parameters():
         classify_existence(1, 2)
     with pytest.raises(ValueError):
         classify_existence(2, 1)
-
-
-def test_construction_error_carries_details():
-    err = ConstructionError("boom", details=["a", "b"])
-    assert err.details == ["a", "b"]

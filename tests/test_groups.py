@@ -241,6 +241,25 @@ def test_lattice_generators_round_trip_through_the_wire_format():
     assert count == 1481
 
 
+def test_subgroups_are_equal_by_group_and_elements():
+    # Closing every element of a subgroup, in a fresh group of the same
+    # cyclic orders, gives other generators but an equal subgroup with an
+    # equal hash; equal element sets in different groups stay unequal.
+    count = 0
+    for order in range(2, 49):
+        for g in enumerate_abelian_groups(order):
+            elems = g.elements()
+            for s in g.subgroups:
+                closed = make_group(g.cyclic_orders).subgroup([elems[x] for x in s.sorted_elements])
+                assert closed.generators != s.generators
+                assert closed == s and hash(closed) == hash(s), s
+                count += 1
+    assert count == 1481
+    z4, z2z2 = make_group([4]).subgroup([(2,)]), make_group([2, 2]).subgroup([(1, 0)])
+    assert z4.elements == z2z2.elements == frozenset({0, 2})
+    assert z4 != z2z2
+
+
 def test_subgroups_of_order():
     g = make_group([2, 2])
     assert len(subgroups_of_order(g, 2)) == 3

@@ -170,7 +170,7 @@ def test_enumeration_respects_budget():
         assert got == (status, nodes, count), (orders, h_gens, budget)
 
 
-@pytest.mark.parametrize(
+_PINNED_TREES = pytest.mark.parametrize(
     "orders, h_gens, mode, budget, status, nodes, count, digest",
     [
         ([2, 3, 5], [(1, 1, 0)], "all", 100_000, BUDGET_EXCEEDED, 100_000, 0,
@@ -185,6 +185,9 @@ def test_enumeration_respects_budget():
          "61ebb6e9f8eef8615433053b7f41d12a38df78120c2df65d9899c85fd6fd8ed2"),
     ],
 )
+
+
+@_PINNED_TREES
 def test_search_tree_is_pinned(orders, h_gens, mode, budget, status, nodes, count, digest):
     # Deep trees in both move orders (anchored and literal).  The payload
     # hash pins the witnesses found and where the budget cut the walk, so a
@@ -192,6 +195,16 @@ def test_search_tree_is_pinned(orders, h_gens, mode, budget, status, nodes, coun
     out = search_starter(_model(orders, h_gens), mode=mode, budget=budget)
     assert (out.status, out.nodes_explored, len(out.witnesses)) == (status, nodes, count)
     assert hashlib.sha256(canonical_json(out.payload()).encode()).hexdigest() == digest
+
+
+@_PINNED_TREES
+def test_state_table_is_only_a_cache(
+    monkeypatch, orders, h_gens, mode, budget, status, nodes, count, digest
+):
+    # A state table that fills after 8 entries walks repeated subtrees
+    # again, but every pinned tree keeps its status, node count and digest.
+    monkeypatch.setattr(starfact.search, "_MAX_STATES", 8)
+    test_search_tree_is_pinned(orders, h_gens, mode, budget, status, nodes, count, digest)
 
 
 def _witness_sets(out):

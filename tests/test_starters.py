@@ -313,25 +313,10 @@ def test_witness_json_round_trips_are_byte_stable():
                     fact = factorization_payload(develop_factorization(back))
                     again = factorization_payload(factorization_from_payload(fact))
                     assert canonical_json(again) == canonical_json(fact)
-                    model = back.model
-                    first = back.sets[0]
-                    u, v = first.edges[0]
-                    coset = model.H.coset_of
-                    negs = model.group.negs
-                    d = model.group.difference(u, v)
-                    others = [
-                        w
-                        for w in range(order)
-                        if coset[w] != coset[u]
-                        and model.group.difference(u, w) not in (d, negs[d])
-                    ]
-                    if not others:  # Omega is the one pair {v - u, u - v}
-                        continue
-                    edges = tuple(sorted((model.pair(u, others[0]),) + first.edges[1:]))
-                    sets = (StarterSet(edges, first.subgroup),) + back.sets[1:]
-                    report = verify_starter(Starter(model, sets))
-                    assert not report.condition1.ok
-                    moved += 1
+                    tampered = _first_edge_moved(back)
+                    if tampered is not None:
+                        assert not verify_starter(tampered).condition1.ok
+                        moved += 1
     assert len(witnesses) == 154
     assert sum(witnesses) == 143
     assert moved == 153  # all but Z4 with H = <2>
