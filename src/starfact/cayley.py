@@ -15,6 +15,8 @@ tuples appear only in messages and in the starter JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import ne
 
 from .groups import AbelianGroup, Subgroup
 
@@ -64,14 +66,6 @@ class CayleyModel:
             raise ValueError(f"degenerate edge at {self.group.elements()[u]}")
         return (u, v) if u < v else (v, u)
 
-    def neighbours_above(self):
-        """(u, [v > u in another part]) for each vertex u in turn: every
-        edge of the graph once, in ascending (u, v) order."""
-        order = self.group.order
-        coset = self.H.coset_of
-        for u, cu in enumerate(coset):
-            yield u, [v for v in range(u + 1, order) if coset[v] != cu]
-
 
 def build_model(H: Subgroup) -> CayleyModel:
     """Validate H and assemble the multipartite model over H.group."""
@@ -92,10 +86,14 @@ def build_model(H: Subgroup) -> CayleyModel:
 
 def export_edge_list(model: CayleyModel) -> str:
     """Plain-text edge list: one 'i j' line of vertex indices per edge,
-    ascending, as neighbours_above yields them."""
+    ascending; each vertex's edges to the vertices above it in other parts
+    are joined as one block."""
     names = [str(v) for v in range(model.group.order)]
-    lines = []
-    for u, above in model.neighbours_above():
-        head = names[u] + " "
-        lines.extend([head + names[v] for v in above])
-    return "\n".join(lines) + "\n"
+    coset = model.H.coset_of
+    blocks = []
+    for u, cu in enumerate(coset):
+        above = list(compress(names[u + 1 :], map(ne, coset[u + 1 :], repeat(cu))))
+        if above:
+            head = names[u] + " "
+            blocks.append(head + ("\n" + head).join(above))
+    return "\n".join(blocks) + "\n"

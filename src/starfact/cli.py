@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 
@@ -311,6 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command's only cyclic garbage, the subgroup lattices, does not grow
+    # with its work, so the collector's passes over every live edge list are
+    # saved by pausing it for the command; the caller's setting comes back.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         payload, code, model = args.func(args)
         _write_text(args.out, canonical_json(payload))
@@ -329,6 +335,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return EX_USAGE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

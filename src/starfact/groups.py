@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import prod
+from math import gcd, prod
 
 Element = tuple[int, ...]
 
@@ -141,10 +141,21 @@ class AbelianGroup:
         return subgroup_from_generators(self, generators)
 
     def full_subgroup(self) -> Subgroup:
-        """The whole group, generated by the unit vector of each factor."""
-        orders = self.cyclic_orders
-        gens = tuple(prod(orders[i + 1 :]) for i in range(len(orders)))
-        return Subgroup(self, gens, frozenset(range(self.order)))
+        """The whole group.  Each generator is a sum of unit vectors whose
+        factor orders are pairwise coprime, which generates those factors
+        together (CRT); first fit, so with prime-power factors there are as
+        many generators as the largest p-rank."""
+        gens: list[list[int]] = []  # [product of the orders summed, index of the sum]
+        for i, n in enumerate(self.cyclic_orders):
+            unit = prod(self.cyclic_orders[i + 1 :])
+            for g in gens:
+                if gcd(g[0], n) == 1:
+                    g[0] *= n
+                    g[1] += unit
+                    break
+            else:
+                gens.append([n, unit])
+        return Subgroup(self, tuple(g for _, g in gens), frozenset(range(self.order)))
 
     @cached_property
     def subgroups(self) -> tuple[Subgroup, ...]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
+from operator import lt
 
 from .cayley import CayleyModel, build_model
 from .groups import AbelianGroup, Subgroup, make_group, subgroup_from_generators
@@ -65,12 +66,13 @@ def _encode(x, newline: str) -> str:
             types == {list}
             and x[0]
             and len(set(map(len, x))) == 1
-            and set(map(type, chain.from_iterable(x))) == {int}
+            and set(map(type, ints := tuple(chain.from_iterable(x)))) == {int}
         ):
-            # Int lists of one length share one template: a factor's edges.
+            # Int lists of one length share one template, so a factor's
+            # edges are written by one % over all their ints.
             deeper = inner + "  "
             line = "[" + deeper + ("," + deeper).join(["%d"] * len(x[0])) + inner + "]"
-            body = sep.join(map(line.__mod__, map(tuple, x)))
+            body = sep.join([line] * len(x)) % ints
         else:
             body = sep.join([_encode(e, inner) for e in x])
         return "[" + inner + body + newline + "]"
@@ -157,6 +159,22 @@ def factorization_from_payload(payload: dict) -> OneFactorization:
     order, and becomes an ascending (u, v) pair; legality is left to
     verify_factorization, which reports it."""
     model = _model_from_payload(payload)
-    pair = model.pair
-    factors = [tuple(sorted([pair(u, v) for u, v in raw])) for raw in payload["factors"]]
+    order = model.group.order
+    factors = []
+    for raw in payload["factors"]:
+        # A factor of [u, v] int lists with 0 <= u < v < order passes the
+        # checks of pair in bulk; any other goes edge by edge through pair,
+        # which raises on the first fault.
+        if type(raw) is list and set(map(type, raw)) == {list} and set(map(len, raw)) == {2}:
+            ends = list(chain.from_iterable(raw))
+            us, vs = ends[::2], ends[1::2]
+            if (
+                set(map(type, ends)) == {int}
+                and all(map(lt, us, vs))
+                and 0 <= min(us)
+                and max(vs) < order
+            ):
+                factors.append(tuple(sorted(map(tuple, raw))))
+                continue
+        factors.append(tuple(sorted([model.pair(u, v) for u, v in raw])))
     return OneFactorization(model, tuple(sorted(factors)))

@@ -19,17 +19,18 @@ involution.  scan_sets reads each starter edge's difference once and
 judges all three conditions from it; verify_starter formats its messages
 from that one pass, and construct_prime_power reads its counts to find the
 differences its family leaves uncovered.
-A one-factorization's factors are sorted tuples of pairs: develop, verify
-and invariance translate and count them through the group's translation
-rows, naming a pair by the code u * order + v where it must be sorted or
-looked up.
+A one-factorization's factors are sorted tuples of pairs.  Develop and
+invariance work a factor at a time on its mate list, mate[u] = v and
+mate[v] = u: translating the matching by r is the permutation r.m.r^-1,
+composed in C by operator.itemgetter over the group's translation rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain
+from operator import itemgetter
 
 from .cayley import CayleyModel
 from .groups import Subgroup
@@ -183,16 +184,14 @@ def verify_starter(starter: Starter) -> VerificationReport:
     return VerificationReport(c1.ok and c2.ok and c3.ok, c1, c2, c3)
 
 
-def _codes(a, b, order: int) -> tuple[int, ...]:
-    """The pairs zip(a, b), each named by its code u * order + v with
-    u < v, in ascending order: the order of the (u, v) pairs themselves."""
-    return tuple(sorted([x * order + y if x < y else y * order + x for x, y in zip(a, b)]))
-
-
-def _moved(us, vs, row, order: int) -> tuple[int, ...]:
-    """Codes of the pairs (us[i], vs[i]) moved by row, ascending."""
-    get = row.__getitem__
-    return _codes(map(get, us), map(get, vs), order)
+def _mate(factor, order: int) -> list[int] | None:
+    """The mate list of factor, or None when it is no perfect matching:
+    order / 2 edges that leave no vertex unmatched cover each once."""
+    mate = [-1] * order
+    for u, v in factor:
+        mate[u] = v
+        mate[v] = u
+    return None if 2 * len(factor) != order or -1 in mate else mate
 
 
 def develop_factorization(starter: Starter) -> OneFactorization:
@@ -202,26 +201,28 @@ def develop_factorization(starter: Starter) -> OneFactorization:
     if not report.passed:
         raise InvalidStarterError(report)
     model = starter.model
-    order = model.group.order
-    rows = model.group.translation
+    group = model.group
+    rows = group.translation
+    negs = group.negs
     seen: dict[tuple[int, ...], None] = {}
     for sset in starter.sets:
-        members = sset.subgroup.elements
-        base = set()
+        # The base factor: each edge moved by every companion member, as a
+        # mate list; a valid starter's set covers every vertex this way.
+        mate = [0] * group.order
         for u, v in sset.edges:
-            # u + h is rows(u)[h], so one pass moves the edge by every member.
-            at_u, at_v = rows(u).__getitem__, rows(v).__getitem__
-            base.update(_codes(map(at_u, members), map(at_v, members), order))
-        base = sorted(base)
-        us = [c // order for c in base]
-        vs = [c % order for c in base]
+            at_u, at_v = rows(u), rows(v)  # u + h is rows(u)[h]
+            for h in sset.subgroup.elements:
+                mate[at_u[h]] = at_v[h]
+                mate[at_v[h]] = at_u[h]
         # Translating by one representative per coset of the companion
         # already reaches every distinct translate of the base factor.
         for r in sset.subgroup.coset_reps:
-            seen.setdefault(_moved(us, vs, rows(r), order), None)
-    # Codes sort as their pairs do, so sorting the codes sorts the factors.
-    factors = tuple(tuple(map(divmod, codes, repeat(order))) for codes in sorted(seen))
-    return OneFactorization(model, factors)
+            moved = itemgetter(*mate)(rows(r))  # x -> mate[x] + r
+            seen.setdefault(itemgetter(*rows(negs[r]))(moved), None)  # y -> mate[y - r] + r
+    # Mate lists first differ at a vertex below its mate in both, so they
+    # sort as their pair tuples do.
+    factors = (tuple([(u, v) for u, v in enumerate(m) if u < v]) for m in sorted(seen))
+    return OneFactorization(model, tuple(factors))
 
 
 def verify_factorization(fact: OneFactorization) -> VerificationReport:
@@ -236,30 +237,32 @@ def verify_factorization(fact: OneFactorization) -> VerificationReport:
     order = group.order
     el = group.elements()
     coset = model.H.coset_of
-    edge_counts: Counter[tuple[int, int]] = Counter()
+    used: set[tuple[int, int]] = set()
+    total = 0
     for fi, factor in enumerate(fact.factors):
         for u, v in factor:
             if coset[u] == coset[v]:
                 d = el[group.difference(u, v)]
                 c1.fail(f"factor {fi}: illegal edge {el[u]}~{el[v]} (difference {d} in H)")
-        ends = [x for pair in factor for x in pair]
-        # Every vertex is covered once exactly when there are order ends,
-        # all distinct; only a failing factor is counted vertex by vertex.
-        if len(ends) != order or len(set(ends)) != order:
-            covered = Counter(ends)
+        # Only a factor that is no perfect matching is counted vertex by vertex.
+        if _mate(factor, order) is None:
+            covered = Counter(chain.from_iterable(factor))
             bad = [el[v] for v in range(order) if covered[v] != 1]
             if bad:
                 more = "..." if len(bad) > 4 else ""
                 c1.fail(f"factor {fi}: vertices covered != once: {bad[:4]}{more}")
-        edge_counts.update(factor)
-    dups = {e: c for e, c in edge_counts.items() if c > 1}
+        used.update(factor)
+        total += len(factor)
+    # An edge is in two factors only if the factors hold more edges than
+    # the set of them; only then are they counted edge by edge.
+    dups = {}
+    if total != len(used):
+        dups = {e: c for e, c in Counter(chain.from_iterable(fact.factors)).items() if c > 1}
     if dups:
         some = [(el[u], el[v]) for u, v in sorted(dups)[:4]]
         c2.fail(f"{len(dups)} edges appear in more than one factor, e.g. {some}")
-    if c1.ok and not dups and len(edge_counts) != model.edge_count:
-        c2.fail(
-            f"{len(edge_counts)} distinct edges used, expected {model.edge_count}"
-        )
+    if c1.ok and not dups and len(used) != model.edge_count:
+        c2.fail(f"{len(used)} distinct edges used, expected {model.edge_count}")
     expected = model.group.order - model.n
     if len(fact.factors) != expected:
         c3.fail(f"{len(fact.factors)} factors, expected {expected}")
@@ -268,16 +271,24 @@ def verify_factorization(fact: OneFactorization) -> VerificationReport:
 
 def check_invariance(fact: OneFactorization) -> bool:
     """True when translating any factor by any element of fact.model.group
-    lands on a factor.  Only the standard generators are tried: every
-    translation is a composite of theirs."""
+    lands on a factor.  Only the group's generators are tried: every
+    translation is a composite of theirs.  When every factor is a perfect
+    matching they are compared as mate lists, else as sorted pair tuples."""
     group = fact.model.group
     order = group.order
-    keys = {tuple(u * order + v for u, v in factor) for factor in fact.factors}
     rows = [group.translation(g) for g in group.full_subgroup().generators]
-    for factor in fact.factors:
-        us = [u for u, _ in factor]
-        vs = [v for _, v in factor]
+    mates = [_mate(factor, order) for factor in fact.factors]
+    if None not in mates:
+        moves = [itemgetter(*m) for m in mates]  # moves[j](row) is row.m_j
         for row in rows:
-            if _moved(us, vs, row, order) not in keys:
+            # row.m.row^-1 is a factor m_j exactly when row.m is m_j.row.
+            if {move(row) for move in moves} != set(map(itemgetter(*row), mates)):
+                return False
+        return True
+    keys = set(fact.factors)
+    for row in rows:
+        for factor in fact.factors:
+            moved = ((row[u], row[v]) for u, v in factor)
+            if tuple(sorted([(a, b) if a < b else (b, a) for a, b in moved])) not in keys:
                 return False
     return True

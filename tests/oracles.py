@@ -38,8 +38,11 @@ def models_of_order(order: int) -> list[CayleyModel]:
 
 
 def all_edges(model: CayleyModel) -> tuple[tuple[int, int], ...]:
-    """Every edge as a (u, v) pair, ascending (neighbours_above)."""
-    return tuple((u, v) for u, above in model.neighbours_above() for v in above)
+    """Every edge as a (u, v) pair, ascending: each vertex u with every
+    v > u in another part."""
+    order = model.group.order
+    coset = model.H.coset_of
+    return tuple((u, v) for u in range(order) for v in range(u + 1, order) if coset[u] != coset[v])
 
 
 def edge_difference(model: CayleyModel, e: tuple[int, int]) -> frozenset[int]:

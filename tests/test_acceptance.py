@@ -6,13 +6,14 @@ formula) before being frozen.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from math import prod
 
 from coords import add, element_order, index, neg
 from oracles import brute_force_factorizations, every_translation_invariant
-from starfact.cayley import build_model
+from starfact.cayley import build_model, export_edge_list
 from starfact.constructions import (
     classify_existence,
     construct_prime_power,
@@ -227,3 +228,24 @@ def test_criterion_8_reruns_are_byte_identical():
     }
     assert first == second
     print("criterion 8: PASS (constructed artifacts identical across runs)")
+
+
+# sha256 of the developed factorizations and of the p = 13 edge list, as
+# the edge-at-a-time develop, payload and edge-list writer first wrote them.
+_ARTIFACT_SHA256 = {
+    "factorization p=5": "ad33ae6f39c1e56438ed9bce835d388d2020012c6f3a1232d56da46c07642e44",
+    "factorization p=13": "e012b1dd86636a3239680ef56c6d527a37478cc60addbe2a989f1e0249c337d1",
+    "doubled 4x6 factorization": "6dc05420ec16dacf67b288196ba7970c951d4e07805a23dc631008df1bb605a6",
+    "edge list p=13": "668b681d533a8e423ad9a7e8aa8772869138f7105739f675c8e2d99a2851e4e2",
+}
+
+
+def test_artifact_bytes_are_pinned():
+    texts = {
+        "factorization p=5": _prime_power_artifacts(5)[1],
+        "factorization p=13": _prime_power_artifacts(13)[1],
+        "doubled 4x6 factorization": _doubling_artifacts()[1],
+        "edge list p=13": export_edge_list(construct_prime_power(13, 2).model),
+    }
+    digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+    assert digests == _ARTIFACT_SHA256

@@ -110,9 +110,11 @@ def test_outside_imports_are_pinned():
         "collections",
         "dataclasses",
         "functools",
+        "gc",
         "itertools",
         "json",
         "math",
+        "operator",
         "sys",
     }
 

@@ -630,6 +630,9 @@ _DEEP = "[" * 200_000 + "]" * 200_000  # valid JSON, nested past any recursion l
     [
         (("factors", 0, 0, 1), 12, "vertex index out of range"),
         (("factors", 0, 0, 0), -1, "vertex index out of range"),
+        (("factors", 5, 3), [2, 99], "vertex index out of range"),
+        (("factors", 0, 0), [True, 1], "vertex index must be an integer, got True"),
+        (("factors", 0, 0), "ab", "vertex index must be an integer, got 'a'"),
         (("factors", 0, 0), [3, 3], "degenerate edge at (0, 3)"),
         (("factors", 3, 2), [11, 11], "degenerate edge at (1, 5)"),
         (("factors", 0, 0), [0, 1, 2], _unpack_error([[[0, 1, 2]]])),
@@ -663,6 +666,18 @@ def test_malformed_factorization_exits_64(tmp_path, capsys, path, value, message
     for extra in ([], ["--invariance"]):
         assert main(["verify-factorization", str(fact), *extra]) == USAGE
         assert capsys.readouterr() == ("", f"bad input: {message}\n")
+
+
+def test_empty_factor_fails_verification(tmp_path, capsys):
+    # An empty factor is well formed, so it loads and fails verification.
+    payload = factorization_payload(develop_factorization(starter_from_payload(_Z2Z6)))
+    payload["factors"][0] = []
+    fact = tmp_path / "fact.json"
+    fact.write_text(json.dumps(payload))
+    for extra in ([], ["--invariance"]):
+        assert main(["verify-factorization", str(fact), *extra]) == FAIL
+        out, err = capsys.readouterr()
+        assert json.loads(out)["passed"] is False and err == ""
 
 
 @pytest.mark.parametrize(

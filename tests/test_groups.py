@@ -399,3 +399,25 @@ def test_involution_count_random_sweep():
         assert g.involutions == {
             index(o, a) for a in g.elements() if element_order(o, a) == 2
         }
+
+
+def test_full_subgroup_generators_fold_coprime_factors():
+    # Each generator sums unit vectors of pairwise coprime orders, so it
+    # generates their factors together: with prime-power factors there are
+    # as many as the largest p-rank, and they close to the whole group.
+    for order in range(2, 65):
+        for group in enumerate_abelian_groups(order):
+            gens = group.full_subgroup().generators
+            el = group.elements()
+            closed = subgroup_from_generators(group, [el[g] for g in gens])
+            assert closed.elements == frozenset(range(order)), group
+            rank = max(
+                sum(n % p == 0 for n in group.cyclic_orders) for p, _ in factorize(order)
+            )
+            assert len(gens) == rank, group
+    for orders, count in (([6, 10], 2), ([6, 10, 15], 3), ([17, 17, 2], 2), ([4, 9, 5], 1)):
+        group = make_group(orders)
+        gens = group.full_subgroup().generators
+        el = group.elements()
+        assert subgroup_from_generators(group, [el[g] for g in gens]).order == group.order
+        assert len(gens) == count, orders

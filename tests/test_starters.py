@@ -288,6 +288,44 @@ def test_every_small_witness_develops_cleanly():
     assert moved == 219  # all but Z4 with H = <2>
 
 
+def _mutations(fact):
+    """Five altered copies of a developed factorization: its first factor
+    duplicated, its first factor dropped, a factor whose last edge repeats
+    its first, a factor missing its first edge, and no factors."""
+    factors, model = fact.factors, fact.model
+    first = factors[0]
+    altered = [
+        factors + (first,),
+        factors[1:],
+        (first[:-1] + first[:1],) + factors[1:],
+        (first[1:],) + factors[1:],
+        (),
+    ]
+    return [OneFactorization(model, tuple(sorted(f))) for f in altered]
+
+
+def test_check_invariance_matches_every_translation():
+    # Every witness of a model with |G| even and at most 24, searched at
+    # budget 5,000, and five mutations of each: check_invariance, which
+    # tries the full subgroup's generators on mate lists (or, with a factor
+    # that is no perfect matching, on sorted pairs), agrees with the oracle
+    # that tries every translation.
+    verdicts = [[0, 0] for _ in range(6)]
+    for order in range(4, 25, 2):
+        for model in models_of_order(order):
+            outcome = search_starter(model, budget=5_000)
+            if outcome.witness is None:
+                continue
+            fact = develop_factorization(outcome.witness)
+            for k, case in enumerate([fact, *_mutations(fact)]):
+                invariant = check_invariance(case)
+                assert invariant == every_translation_invariant(case), (model.group, model.H, k)
+                verdicts[k][invariant] += 1
+    # [not invariant, invariant] per case.  Dropping a factor keeps the
+    # rest invariant exactly when every translation fixes that factor.
+    assert verdicts == [[0, 220], [0, 220], [72, 148], [220, 0], [220, 0], [0, 220]]
+
+
 def test_witness_json_round_trips_are_byte_stable():
     # Every search witness on a group of order <= 16, cyclic or not: the
     # starter JSON and the developed factorization JSON both survive a load
