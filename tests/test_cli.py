@@ -630,9 +630,6 @@ _DEEP = "[" * 200_000 + "]" * 200_000  # valid JSON, nested past any recursion l
     [
         (("factors", 0, 0, 1), 12, "vertex index out of range"),
         (("factors", 0, 0, 0), -1, "vertex index out of range"),
-        (("factors", 5, 3), [2, 99], "vertex index out of range"),
-        (("factors", 0, 0), [True, 1], "vertex index must be an integer, got True"),
-        (("factors", 0, 0), "ab", "vertex index must be an integer, got 'a'"),
         (("factors", 0, 0), [3, 3], "degenerate edge at (0, 3)"),
         (("factors", 3, 2), [11, 11], "degenerate edge at (1, 5)"),
         (("factors", 0, 0), [0, 1, 2], _unpack_error([[[0, 1, 2]]])),
@@ -645,6 +642,18 @@ _DEEP = "[" * 200_000 + "]" * 200_000  # valid JSON, nested past any recursion l
         (("factors", 0), [[0, 1.5], [0, 1, 2]], "vertex index must be an integer, got 1.5"),
         (("factors", 0), [[0, 1, 2], [0, 1.5]], _unpack_error([[[0, 1, 2]]])),
         pytest.param((), _DEEP, _json_error(_DEEP), id="deeply-nested"),
+        pytest.param(
+            ("factors", 5, 3), [2, 99], "vertex index out of range", id="later-factor-out-of-range"
+        ),
+        pytest.param(
+            ("factors", 0, 0),
+            [True, 1],
+            "vertex index must be an integer, got True",
+            id="bool-vertex",
+        ),
+        pytest.param(
+            ("factors", 0, 0), "ab", "vertex index must be an integer, got 'a'", id="string-edge"
+        ),
     ],
 )
 def test_malformed_factorization_exits_64(tmp_path, capsys, path, value, message):
