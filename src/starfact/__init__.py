@@ -8,91 +8,22 @@ known explicit families, searches models exhaustively, and certifies
 nonexistence across all abelian groups of a given order.
 """
 
-from .cayley import CayleyModel, build_model, export_edge_list
-from .constructions import (
-    ConstructionError,
-    ExistenceVerdict,
-    NonexistenceCertificate,
-    classify_existence,
-    construct_prime_power,
-    double_starter,
-    parity_nonexistence,
-)
-from .groups import (
-    AbelianGroup,
-    Element,
-    Subgroup,
-    all_subgroups,
-    enumerate_abelian_groups,
-    make_group,
-    subgroup_from_generators,
-    subgroups_of_order,
-)
-from .search import (
-    CertificationResult,
-    SearchOutcome,
-    certify_nonexistence,
-    search_starter,
-)
-from .serialize import (
-    canonical_json,
-    factorization_from_payload,
-    factorization_payload,
-    group_payload,
-    starter_from_payload,
-    starter_payload,
-)
-from .starters import (
-    InvalidStarterError,
-    OneFactorization,
-    Starter,
-    StarterSet,
-    VerificationReport,
-    check_invariance,
-    develop_factorization,
-    verify_factorization,
-    verify_starter,
-)
+from . import cayley, constructions, groups, search, serialize, starters
+from .cayley import *
+from .constructions import *
+from .groups import *
+from .search import *
+from .serialize import *
+from .starters import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianGroup",
-    "Element",
-    "Subgroup",
-    "make_group",
-    "subgroup_from_generators",
-    "all_subgroups",
-    "subgroups_of_order",
-    "enumerate_abelian_groups",
-    "CayleyModel",
-    "build_model",
-    "export_edge_list",
-    "StarterSet",
-    "Starter",
-    "OneFactorization",
-    "VerificationReport",
-    "InvalidStarterError",
-    "verify_starter",
-    "develop_factorization",
-    "verify_factorization",
-    "check_invariance",
-    "canonical_json",
-    "group_payload",
-    "starter_payload",
-    "starter_from_payload",
-    "factorization_payload",
-    "factorization_from_payload",
-    "ConstructionError",
-    "NonexistenceCertificate",
-    "ExistenceVerdict",
-    "construct_prime_power",
-    "double_starter",
-    "parity_nonexistence",
-    "classify_existence",
-    "SearchOutcome",
-    "CertificationResult",
-    "search_starter",
-    "certify_nonexistence",
+    *cayley.__all__,
+    *constructions.__all__,
+    *groups.__all__,
+    *search.__all__,
+    *serialize.__all__,
+    *starters.__all__,
     "__version__",
 ]

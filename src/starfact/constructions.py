@@ -36,13 +36,6 @@ class ConstructionError(ValueError):
     """No candidate filling of a construction passed verification."""
 
 
-def _is_prime_power(n: int) -> tuple[int, int] | None:
-    fac = factorize(n)
-    if len(fac) == 1:
-        return fac[0]
-    return None
-
-
 # ---------------------------------------------------------------------------
 # doubling: K_{m x n} over Z_{mn}  ->  K_{m x 2n} over Z_{mn} x Z_2
 # ---------------------------------------------------------------------------
@@ -346,10 +339,9 @@ def _rule(m: int, n: int) -> str:
         return "parity_count"
     if n == 2 and m % 4 == 1:
         check_group_order(m * n)  # before factorizing m
-        pp = _is_prime_power(m)
-        if pp is None:
+        (p, v), *others = factorize(m)
+        if others:
             return "composite_1mod4_pairs"
-        p, v = pp
         if p % 4 != 1:
             return "no_rule"
         return "prime_m_pairs" if v == 1 else "prime_power_m_pairs"

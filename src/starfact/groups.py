@@ -19,6 +19,7 @@ from math import gcd, prod
 Element = tuple[int, ...]
 
 __all__ = [
+    "Element",
     "AbelianGroup",
     "Subgroup",
     "make_group",

@@ -21,14 +21,17 @@ from that one pass, and construct_prime_power reads its counts to find the
 differences its family leaves uncovered.
 A one-factorization's factors are sorted tuples of pairs.  Develop and
 invariance work a factor at a time on its mate list, mate[u] = v and
-mate[v] = u: translating the matching by r is the permutation r.m.r^-1,
-composed in C by operator.itemgetter over the group's translation rows.
+mate[v] = u; OneFactorization.mates builds them once per factorization for
+verification and invariance to share.  Translating the matching by r is
+the permutation r.m.r^-1, composed in C by operator.itemgetter over the
+group's translation rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 
@@ -72,6 +75,21 @@ class OneFactorization:
 
     model: CayleyModel
     factors: tuple[tuple[tuple[int, int], ...], ...]
+
+    @cached_property
+    def mates(self) -> tuple[list[int] | None, ...]:
+        """Each factor's mate list, or None when it is no perfect matching:
+        order / 2 edges that leave no vertex unmatched cover each once.
+        Built on first use and shared by verification and invariance."""
+        order = self.model.group.order
+        out = []
+        for factor in self.factors:
+            mate = [-1] * order
+            for u, v in factor:
+                mate[u] = v
+                mate[v] = u
+            out.append(None if 2 * len(factor) != order or -1 in mate else mate)
+        return tuple(out)
 
 
 @dataclass
@@ -184,16 +202,6 @@ def verify_starter(starter: Starter) -> VerificationReport:
     return VerificationReport(c1.ok and c2.ok and c3.ok, c1, c2, c3)
 
 
-def _mate(factor, order: int) -> list[int] | None:
-    """The mate list of factor, or None when it is no perfect matching:
-    order / 2 edges that leave no vertex unmatched cover each once."""
-    mate = [-1] * order
-    for u, v in factor:
-        mate[u] = v
-        mate[v] = u
-    return None if 2 * len(factor) != order or -1 in mate else mate
-
-
 def develop_factorization(starter: Starter) -> OneFactorization:
     """Translate each set by its companion, then by coset representatives,
     deduplicate factors as edge sets, and order them lexicographically."""
@@ -237,32 +245,32 @@ def verify_factorization(fact: OneFactorization) -> VerificationReport:
     order = group.order
     el = group.elements()
     coset = model.H.coset_of
-    used: set[tuple[int, int]] = set()
+    mates = fact.mates
     total = 0
-    for fi, factor in enumerate(fact.factors):
+    for fi, (factor, mate) in enumerate(zip(fact.factors, mates)):
         for u, v in factor:
             if coset[u] == coset[v]:
                 d = el[group.difference(u, v)]
                 c1.fail(f"factor {fi}: illegal edge {el[u]}~{el[v]} (difference {d} in H)")
         # Only a factor that is no perfect matching is counted vertex by vertex.
-        if _mate(factor, order) is None:
+        if mate is None:
             covered = Counter(chain.from_iterable(factor))
             bad = [el[v] for v in range(order) if covered[v] != 1]
             if bad:
                 more = "..." if len(bad) > 4 else ""
                 c1.fail(f"factor {fi}: vertices covered != once: {bad[:4]}{more}")
-        used.update(factor)
         total += len(factor)
-    # An edge is in two factors only if the factors hold more edges than
-    # the set of them; only then are they counted edge by edge.
+    # Two perfect matchings share an edge exactly when some vertex has the
+    # same mate in both, so the factors are counted edge by edge only when
+    # a vertex's mates repeat or a factor is no perfect matching.
     dups = {}
-    if total != len(used):
+    if None in mates or any(len(set(col)) < len(col) for col in zip(*mates)):
         dups = {e: c for e, c in Counter(chain.from_iterable(fact.factors)).items() if c > 1}
     if dups:
         some = [(el[u], el[v]) for u, v in sorted(dups)[:4]]
         c2.fail(f"{len(dups)} edges appear in more than one factor, e.g. {some}")
-    if c1.ok and not dups and len(used) != model.edge_count:
-        c2.fail(f"{len(used)} distinct edges used, expected {model.edge_count}")
+    if c1.ok and not dups and total != model.edge_count:
+        c2.fail(f"{total} distinct edges used, expected {model.edge_count}")
     expected = model.group.order - model.n
     if len(fact.factors) != expected:
         c3.fail(f"{len(fact.factors)} factors, expected {expected}")
@@ -275,9 +283,8 @@ def check_invariance(fact: OneFactorization) -> bool:
     translation is a composite of theirs.  When every factor is a perfect
     matching they are compared as mate lists, else as sorted pair tuples."""
     group = fact.model.group
-    order = group.order
     rows = [group.translation(g) for g in group.full_subgroup().generators]
-    mates = [_mate(factor, order) for factor in fact.factors]
+    mates = fact.mates
     if None not in mates:
         moves = [itemgetter(*m) for m in mates]  # moves[j](row) is row.m_j
         for row in rows:

@@ -1,12 +1,14 @@
-"""The library's public surface: the README tour runs as written, every
-name a module exports has a caller in the package or the benchmark, every
-name a module imports is read there, the package imports only a pinned set
-of outside modules, only the library's edges read coordinates, and only
-cli.main writes an artifact."""
+"""The library's public surface: the README tour runs as written, the
+package exports exactly what its modules export, every name a module
+exports has a caller in the package or the benchmark, every name a module
+imports is read there, the package imports only a pinned set of outside
+modules, only the library's edges read coordinates, and only cli.main
+writes an artifact."""
 
 from __future__ import annotations
 
 import ast
+from importlib import import_module
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -17,6 +19,18 @@ def test_readme_library_tour_runs():
     tour = text.split("## Library tour", 1)[1]
     code = tour.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md (Library tour)", "exec"), {})
+
+
+def test_package_surface_is_the_modules_surface():
+    # The package re-exports every module's __all__, in file order, and adds
+    # only its version, so a name is declared public in its module alone.
+    import starfact
+
+    paths = sorted((ROOT / "src" / "starfact").glob("*.py"))
+    modules = [import_module(f"starfact.{p.stem}") for p in paths if p.stem != "__init__"]
+    expected = [name for m in modules for name in getattr(m, "__all__", ())] + ["__version__"]
+    assert starfact.__all__ == expected
+    assert len(set(expected)) == len(expected)
 
 
 def _reads(tree, skip=None):

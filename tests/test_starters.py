@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -289,9 +290,10 @@ def test_every_small_witness_develops_cleanly():
 
 
 def _mutations(fact):
-    """Five altered copies of a developed factorization: its first factor
+    """Six altered copies of a developed factorization: its first factor
     duplicated, its first factor dropped, a factor whose last edge repeats
-    its first, a factor missing its first edge, and no factors."""
+    its first, a factor missing its first edge, no factors, and every
+    factor merged into one."""
     factors, model = fact.factors, fact.model
     first = factors[0]
     altered = [
@@ -300,17 +302,18 @@ def _mutations(fact):
         (first[:-1] + first[:1],) + factors[1:],
         (first[1:],) + factors[1:],
         (),
+        (tuple(sorted(chain.from_iterable(factors))),),
     ]
     return [OneFactorization(model, tuple(sorted(f))) for f in altered]
 
 
 def test_check_invariance_matches_every_translation():
     # Every witness of a model with |G| even and at most 24, searched at
-    # budget 5,000, and five mutations of each: check_invariance, which
+    # budget 5,000, and six mutations of each: check_invariance, which
     # tries the full subgroup's generators on mate lists (or, with a factor
     # that is no perfect matching, on sorted pairs), agrees with the oracle
     # that tries every translation.
-    verdicts = [[0, 0] for _ in range(6)]
+    verdicts = [[0, 0] for _ in range(7)]
     for order in range(4, 25, 2):
         for model in models_of_order(order):
             outcome = search_starter(model, budget=5_000)
@@ -322,8 +325,9 @@ def test_check_invariance_matches_every_translation():
                 assert invariant == every_translation_invariant(case), (model.group, model.H, k)
                 verdicts[k][invariant] += 1
     # [not invariant, invariant] per case.  Dropping a factor keeps the
-    # rest invariant exactly when every translation fixes that factor.
-    assert verdicts == [[0, 220], [0, 220], [72, 148], [220, 0], [220, 0], [0, 220]]
+    # rest invariant exactly when every translation fixes that factor; the
+    # merged factor, the whole edge set, is fixed by every translation.
+    assert verdicts == [[0, 220], [0, 220], [72, 148], [220, 0], [220, 0], [0, 220], [0, 220]]
 
 
 def test_witness_json_round_trips_are_byte_stable():
