@@ -111,14 +111,23 @@ class AbelianGroup:
     def _rows(self) -> list[list[int] | None]:  # see translation
         return [None] * self.order
 
+    def _row(self, g: int) -> list[int]:
+        """Row of x + g for every vertex index x, built afresh: translation
+        caches it, a closure drops it when done.  The digits of g come off
+        its index, least significant factor first, so no coordinate table
+        is built."""
+        columns = []
+        for n in reversed(self.cyclic_orders):
+            g, c = divmod(g, n)
+            columns.append([(x + c) % n for x in range(n)])
+        return self._per_coordinate(reversed(columns))
+
     def translation(self, g: int) -> list[int]:
         """Row of x + g for every vertex index x, with g a vertex index.
         Rows, and the table that holds them, are built on first use."""
         row = self._rows[g]
         if row is None:
-            shifted = zip(self._elements[g], self.cyclic_orders)
-            row = self._per_coordinate([[(x + c) % n for x in range(n)] for c, n in shifted])
-            self._rows[g] = row
+            row = self._rows[g] = self._row(g)
         return row
 
     @cached_property
@@ -163,16 +172,33 @@ class AbelianGroup:
         """Every subgroup, found by repeatedly adjoining single elements,
         sorted by (order, sorted element list) so the listing is stable.
         <P, g> depends only on g + P, so P is extended by each other coset's
-        least element, the one a scan of every element would reach first."""
+        least element, the one a scan of every element would reach first.
+        Each closure reads a transient translation row of its representative
+        r (see _adjoin), and the same row then walks the multiples jr: when
+        r + P has order k in G/P, <P, jr> = <P, r> for every j coprime to k,
+        so the cosets of those jr are marked through P.coset_of and a later
+        representative in a marked coset is skipped.  It could only rebuild
+        a subgroup that r found first, so the generators stay the same."""
         trivial = Subgroup(self, (), frozenset({0}))
         found = {trivial.elements: trivial}
         queue = [trivial]
         for sub in queue:  # breadth first: the loop reaches what it appends
+            coset_of = sub.coset_of
+            repeats = bytearray(sub.index)
             for r in sub.coset_reps[1:]:
-                bigger = _adjoin(self, sub.elements, r)
+                if repeats[coset_of[r]]:
+                    continue
+                row = self._row(r)
+                bigger = _adjoin(sub.elements, row)
                 if bigger not in found:
                     found[bigger] = Subgroup(self, sub.generators + (r,), bigger)
                     queue.append(found[bigger])
+                k = len(bigger) // len(sub.elements)
+                x = r
+                for j in range(1, k):
+                    if gcd(j, k) == 1:
+                        repeats[coset_of[x]] = 1
+                    x = row[x]
         return tuple(sorted(found.values(), key=lambda s: (s.order, s.sorted_elements)))
 
 
@@ -234,17 +260,19 @@ def make_group(cyclic_orders) -> AbelianGroup:
     return AbelianGroup(tuple(cyclic_orders))
 
 
-def _adjoin(group: AbelianGroup, elems: frozenset[int], g: int) -> frozenset[int]:
-    """<elems, g> for a subgroup elems and a vertex index g: the cosets
-    kg + elems, each {kg - h for h in elems}, for k = 0, 1, ... until kg
-    falls back into elems."""
-    difference = group.difference
-    minus_g = group.negs[g]
+def _adjoin(elems: frozenset[int], row: list[int]) -> frozenset[int]:
+    """<elems, g> for a subgroup elems and the translation row of g, where
+    row[x] is x + g.  The coset kg + elems is coset (k - 1)g + elems shifted
+    along the row, for k = 1, 2, ... until kg, stepped from g = row[0] by
+    x = row[x], falls back into elems.  The caller builds the row, so no
+    closure fills the group's cache of translation rows."""
     out = set(elems)
-    x = g
+    coset = elems
+    x = row[0]
     while x not in elems:
-        out.update(difference(x, h) for h in elems)
-        x = difference(x, minus_g)
+        coset = list(map(row.__getitem__, coset))
+        out.update(coset)
+        x = row[x]
     return frozenset(out)
 
 
@@ -254,7 +282,7 @@ def subgroup_from_generators(group: AbelianGroup, generators) -> Subgroup:
     gens = tuple(map(group.index_of, generators))
     elems = frozenset({0})
     for g in gens:
-        elems = _adjoin(group, elems, g)
+        elems = _adjoin(elems, group._row(g))
     return Subgroup(group, gens, elems)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+from collections import Counter
 from math import prod
 
 import pytest
@@ -192,7 +193,10 @@ def _gaussian_binomial(k: int, j: int, p: int) -> int:
 def test_subgroup_counts_match_lattice_oracles():
     # Z_p^k is the vector space F_p^k, so its subgroups are the subspaces:
     # sum over j of the Gaussian binomial [k choose j]_p.
-    expected = {(2, 2): 5, (2, 3): 16, (2, 4): 67, (3, 2): 6, (3, 3): 28, (5, 2): 8}
+    expected = {
+        (2, 2): 5, (2, 3): 16, (2, 4): 67, (3, 2): 6, (3, 3): 28, (3, 4): 212,
+        (5, 2): 8, (5, 3): 64, (7, 2): 10,
+    }
     for (p, k), count in expected.items():
         assert sum(_gaussian_binomial(k, j, p) for j in range(k + 1)) == count
         subs = make_group([p] * k).subgroups
@@ -203,18 +207,33 @@ def test_subgroup_counts_match_lattice_oracles():
     for n in range(2, 61):
         orders = [s.order for s in make_group([n]).subgroups]
         assert orders == [d for d in range(1, n + 1) if n % d == 0], n
+    # A subgroup of a finite abelian group is the product of its Sylow parts,
+    # so the number of subgroups of each order multiplies over the primes.
+    for order in (250, 360):
+        for g in enumerate_abelian_groups(order):
+            expected = Counter({1: 1})
+            for p, _ in factorize(order):
+                part = make_group([n for n in g.cyclic_orders if n % p == 0])
+                sizes = Counter(s.order for s in part.subgroups)
+                expected = Counter(
+                    {a * b: x * y for a, x in expected.items() for b, y in sizes.items()}
+                )
+            assert Counter(s.order for s in g.subgroups) == expected, g.cyclic_orders
 
 
 def test_lattice_listing_is_pinned_and_fast(capsys):
     # sha256 of `groups --order O --subgroups`, recorded with the lattice
-    # built by adjoining every element to every subgroup; adjoining only
-    # least coset representatives must list the same subgroups, in the same
-    # order, with the same generators.
+    # built by adjoining every element to every subgroup (orders 250 and 360:
+    # every least coset representative); adjoining only the representatives
+    # whose closure is not known to repeat must list the same subgroups, in
+    # the same order, with the same generators.
     expected = {
         32: "203a0427e26268894cdcae088b02c37133a320ca72c3a9c2407409f68e8026ca",
         48: "3e7e3d8bcc69b3434736d3c83bb99c45db78c90960aea8756a6533852cf28b6f",
         64: "61b18beb4c58c7d3fefbb535283c8c44b11360a1d87c41860e4bbe32ac5b3b97",
         210: "d3b98128f144cff49f4aadc53dbb93008f0a21e267cd2cc4311438f654713983",
+        250: "24a5daa4e8543b5a2e445757b2710fde810db543a29f4c70aaa3424463057b38",
+        360: "9afe96fc6d62138bcd119649eb368fdb6fa181073229ba8a6470f03e7112be7a",
     }
     start = time.perf_counter()
     for order, digest in expected.items():
@@ -227,18 +246,30 @@ def test_lattice_listing_is_pinned_and_fast(capsys):
 
 def test_lattice_generators_round_trip_through_the_wire_format():
     # Every subgroup of every group of order <= 48 holds its generators as
-    # vertex indices, and closing its wire format gives back the same
-    # elements and the same generators.
+    # vertex indices, its elements are the coordinate closure of those
+    # generators, and closing its wire format gives back the same elements
+    # and the same generators.
     count = 0
     for order in range(2, 49):
         for g in enumerate_abelian_groups(order):
             for s in g.subgroups:
                 assert all(type(x) is int and 0 <= x < order for x in s.generators)
-                again = subgroup_from_generators(g, generators_payload(s))
+                gens = generators_payload(s)
+                o = g.cyclic_orders
+                assert s.elements == frozenset(index(o, a) for a in closure(o, gens)), s
+                again = subgroup_from_generators(g, gens)
                 assert again.elements == s.elements
                 assert again.generators == s.generators
                 count += 1
     assert count == 1481
+
+
+def test_lattice_closures_leave_the_row_cache_empty():
+    # Each closure builds its own translation row and drops it: caching one
+    # row per coset representative took 330 MB over the groups of order 1000.
+    groups = enumerate_abelian_groups(1000)
+    assert sum(len(g.subgroups) for g in groups) == 2296
+    assert not any("_rows" in g.__dict__ for g in groups)
 
 
 def test_subgroups_are_equal_by_group_and_elements():
