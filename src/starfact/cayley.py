@@ -6,7 +6,8 @@ of H.  An edge is an ascending (u, v) pair of vertex indices.  It is
 *short* when its difference group.difference(u, v) is an involution (both
 differences coincide) and *long* otherwise; the kind is read off the pair
 where it matters and never stored.  pair(u, v) checks the indices and
-orders them; edge(u, v) also refuses a pair whose difference lies in H.
+orders them; edge(u, v) also refuses a pair inside one coset of H, by
+H.coset_of, and subtracts only to report the difference that lies in H.
 
 Vertices, differences and edges are vertex indices (see groups); coordinate
 tuples appear only in messages and in the starter JSON.
@@ -45,10 +46,11 @@ class CayleyModel:
     def edge(self, u: int, v: int) -> tuple[int, int]:
         """The pair, validated against the model (ends in different parts)."""
         u, v = self.pair(u, v)
-        d = self.group.difference(u, v)
-        if d in self.H.elements:
+        coset = self.H.coset_of
+        if coset[u] == coset[v]:
             el = self.group.elements()
-            raise ValueError(f"illegal edge {el[u]} ~ {el[v]}: difference {el[d]} lies in H")
+            d = el[self.group.difference(u, v)]
+            raise ValueError(f"illegal edge {el[u]} ~ {el[v]}: difference {d} lies in H")
         return u, v
 
     def pair(self, u: int, v: int) -> tuple[int, int]:
@@ -74,7 +76,7 @@ def build_model(H: Subgroup) -> CayleyModel:
         raise ValueError("H must have order at least 2 (parts of size >= 2)")
     if H.order >= group.order:
         raise ValueError("H must be a proper subgroup")
-    omega = frozenset(range(group.order)) - H.elements
+    omega = frozenset(compress(range(group.order), H.coset_of))
     return CayleyModel(
         group=group,
         H=H,

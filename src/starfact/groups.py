@@ -165,7 +165,8 @@ class AbelianGroup:
                     break
             else:
                 gens.append([n, unit])
-        return Subgroup(self, tuple(g for _, g in gens), frozenset(range(self.order)))
+        elems = frozenset(range(self.order))
+        return Subgroup(self, tuple(g for _, g in gens), elems, (0,) * self.order, (0,))
 
     @cached_property
     def subgroups(self) -> tuple[Subgroup, ...]:
@@ -174,43 +175,47 @@ class AbelianGroup:
         <P, g> depends only on g + P, so P is extended by each other coset's
         least element, the one a scan of every element would reach first.
         Each closure reads a transient translation row of its representative
-        r (see _adjoin), and the same row then walks the multiples jr: when
-        r + P has order k in G/P, <P, jr> = <P, r> for every j coprime to k,
-        so the cosets of those jr are marked through P.coset_of and a later
-        representative in a marked coset is skipped.  It could only rebuild
-        a subgroup that r found first, so the generators stay the same."""
-        trivial = Subgroup(self, (), frozenset({0}))
+        r (see _adjoin) and returns the cycle of P's cosets that r + P
+        generates in G/P: the cosets of 0, r, 2r, ...  When that cycle has
+        length k, <P, jr> = <P, r> for every j coprime to k, so the cosets
+        of those jr are marked and a later representative in a marked coset
+        is skipped.  It could only rebuild a subgroup that r found first, so
+        the generators stay the same."""
+        everything = tuple(range(self.order))
+        trivial = Subgroup(self, (), frozenset({0}), everything, everything)
         found = {trivial.elements: trivial}
         queue = [trivial]
         for sub in queue:  # breadth first: the loop reaches what it appends
-            coset_of = sub.coset_of
             repeats = bytearray(sub.index)
             for r in sub.coset_reps[1:]:
-                if repeats[coset_of[r]]:
+                if repeats[sub.coset_of[r]]:
                     continue
-                row = self._row(r)
-                bigger = _adjoin(sub.elements, row)
+                closure = _adjoin(sub.elements, sub.coset_of, sub.coset_reps, self._row(r))
+                bigger, coset_of, reps, cycle = closure
                 if bigger not in found:
-                    found[bigger] = Subgroup(self, sub.generators + (r,), bigger)
+                    found[bigger] = Subgroup(self, sub.generators + (r,), bigger, coset_of, reps)
                     queue.append(found[bigger])
-                k = len(bigger) // len(sub.elements)
-                x = r
+                k = len(cycle)
                 for j in range(1, k):
                     if gcd(j, k) == 1:
-                        repeats[coset_of[x]] = 1
-                    x = row[x]
+                        repeats[cycle[j]] = 1
         return tuple(sorted(found.values(), key=lambda s: (s.order, s.sorted_elements)))
 
 
 @dataclass(frozen=True)
 class Subgroup:
     """Subgroup of an AbelianGroup, identified by its group and its element
-    set, a set of vertex indices; its generators, vertex indices in the
-    order they were adjoined, take no part in equality or hashing."""
+    set, a set of vertex indices.  The closure that builds it fills the
+    rest, which takes no part in equality or hashing: its generators, vertex
+    indices in the order they were adjoined; coset_of, the coset number of
+    each vertex, with cosets numbered by least element, so the subgroup is
+    coset 0; and coset_reps, those least elements, ascending."""
 
     group: AbelianGroup
     generators: tuple[int, ...] = field(compare=False)
     elements: frozenset[int]
+    coset_of: tuple[int, ...] = field(compare=False)
+    coset_reps: tuple[int, ...] = field(compare=False)
 
     @property
     def order(self) -> int:
@@ -224,33 +229,6 @@ class Subgroup:
     def sorted_elements(self) -> tuple[int, ...]:
         return tuple(sorted(self.elements))
 
-    @cached_property
-    def coset_of(self) -> tuple[int, ...]:
-        """Coset number of each group element, indexed by vertex index.
-        Cosets are numbered in the order of their least elements, so the
-        subgroup itself is coset 0.  The subgroup is closed under negation,
-        so the coset i + H is {i - h for h in H}."""
-        difference = self.group.difference
-        out = [-1] * self.group.order
-        count = 0
-        for i in range(self.group.order):
-            if out[i] < 0:
-                for h in self.elements:
-                    out[difference(i, h)] = count
-                count += 1
-        return tuple(out)
-
-    @cached_property
-    def coset_reps(self) -> tuple[int, ...]:
-        """Vertex index of the least element of each coset, by coset number.
-        Cosets are numbered by least element, so coset c is new at the index
-        where c reps are already found: one pass over coset_of."""
-        reps = []
-        for i, c in enumerate(self.coset_of):
-            if c == len(reps):
-                reps.append(i)
-        return tuple(reps)
-
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {list(self.group.cyclic_orders)})"
 
@@ -260,30 +238,43 @@ def make_group(cyclic_orders) -> AbelianGroup:
     return AbelianGroup(tuple(cyclic_orders))
 
 
-def _adjoin(elems: frozenset[int], row: list[int]) -> frozenset[int]:
-    """<elems, g> for a subgroup elems and the translation row of g, where
-    row[x] is x + g.  The coset kg + elems is coset (k - 1)g + elems shifted
-    along the row, for k = 1, 2, ... until kg, stepped from g = row[0] by
-    x = row[x], falls back into elems.  The caller builds the row, so no
-    closure fills the group's cache of translation rows."""
+def _adjoin(elems: frozenset[int], coset_of, reps, row: list[int]):
+    """(elements, coset_of, coset_reps, cycle) of <P, g>, for P given by its
+    elements, coset index and representatives, and row[x] = x + g.  Adding
+    g maps coset c of P to the coset of reps[c] + g, and each cycle of that
+    permutation is one coset of <P, g>, numbered when first met by
+    ascending c, so by least element.  cycle, that of coset 0, lists the
+    cosets of 0, g, 2g, ...; the elements are P shifted along the row
+    through them.  The caller builds the row, so no closure fills the
+    group's cache of translation rows."""
+    cycle = [0]
+    while c := coset_of[row[reps[cycle[-1]]]]:
+        cycle.append(c)
+    num = [-1] * len(reps)
+    new_reps = []
+    for c, r in enumerate(reps):
+        if num[c] < 0:
+            n = len(new_reps)
+            new_reps.append(r)
+            for _ in cycle:  # every cycle is as long as the first
+                num[c] = n
+                c = coset_of[row[reps[c]]]
     out = set(elems)
     coset = elems
-    x = row[0]
-    while x not in elems:
+    for _ in cycle[1:]:
         coset = list(map(row.__getitem__, coset))
         out.update(coset)
-        x = row[x]
-    return frozenset(out)
+    return frozenset(out), tuple(map(num.__getitem__, coset_of)), tuple(new_reps), cycle
 
 
 def subgroup_from_generators(group: AbelianGroup, generators) -> Subgroup:
     """Closure of generators given in coordinates, each mapped once through
     index_of; the empty list gives the trivial subgroup."""
     gens = tuple(map(group.index_of, generators))
-    elems = frozenset({0})
+    elems, coset_of, reps = frozenset({0}), range(group.order), range(group.order)
     for g in gens:
-        elems = _adjoin(elems, group._row(g))
-    return Subgroup(group, gens, elems)
+        elems, coset_of, reps, _ = _adjoin(elems, coset_of, reps, group._row(g))
+    return Subgroup(group, gens, elems, tuple(coset_of), tuple(reps))
 
 
 def all_subgroups(group: AbelianGroup) -> list[Subgroup]:

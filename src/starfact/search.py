@@ -49,6 +49,7 @@ with the tests, in tests/oracles.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import not_
 
 from .cayley import CayleyModel, build_model
 from .groups import Subgroup, enumerate_abelian_groups, subgroups_of_order
@@ -99,7 +100,7 @@ class SearchOutcome:
 class _Ctx:
     """Search tables for one (group, H) model, on vertex indices.  The group
     supplies negation, involutions, translation rows, the lattice of
-    companions and their cached coset indices.
+    companions and their coset indices.
 
     fits maps (companion, w, hit) to the placements of difference w that a
     set of that companion whose endpoints already hit the cosets in hit can
@@ -117,7 +118,7 @@ class _Ctx:
         self.companions = sorted(group.subgroups, key=lambda s: (-s.order, s.sorted_elements))
         self.comp_index = [s.index for s in self.companions]
         # A list per companion, since _moves reads it at every node.
-        self.comp_member = [[x in s.elements for x in range(group.order)] for s in self.companions]
+        self.comp_member = [list(map(not_, s.coset_of)) for s in self.companions]
         self.comp_invol = [sum(1 << i for i in self.invol if member[i]) for member in self.comp_member]
         self.fits: dict[tuple[int, int, int], tuple] = {}  # filled by _fill
 
@@ -224,16 +225,6 @@ def _witness_starter(ctx: _Ctx, witness_sets) -> Starter:
     if not report.passed:
         raise RuntimeError("search produced an invalid witness:\n" + report.summary())
     return starter
-
-
-def _root_branches(ctx: _Ctx) -> list[int]:
-    # The companions that can open the first set, which a search reports as
-    # subgroups_tried.  Anchored root moves open one set per companion that
-    # can take the least difference; a fresh set's feasibility does not
-    # depend on the placement, so the list serves every mode.  No root move
-    # fails the slot-sum bound, since no set is open.
-    sets: list = []
-    return [sets[0][0] for cover, _ in _moves(ctx, sets, 0, 0, ctx.omega_ids[0], True) if cover]
 
 
 def _walk(ctx: _Ctx, cap: int | None, collect: bool):
@@ -343,7 +334,14 @@ def search_starter(
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
     ctx = _Ctx(model)
-    tried = tuple(ctx.companions[c] for c in _root_branches(ctx))
+    # subgroups_tried: the companions whose fresh set can take the least
+    # difference at the root (see _moves), in any mode.
+    w0 = ctx.omega_ids[0]
+    tried = tuple(
+        ctx.companions[c]
+        for c, k in enumerate(ctx.comp_index)
+        if k <= len(ctx.omega_ids) and ctx.comp_member[c][w0] == (w0 in ctx.invol)
+    )
     collect = mode == "all"
     # The root costs one node; the walk counts the nodes below it.
     nodes, hits, aborted = _walk(ctx, None if budget is None else budget - 1, collect)

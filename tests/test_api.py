@@ -2,8 +2,8 @@
 package exports exactly what its modules export, every name a module
 exports has a caller in the package or the benchmark, every name a module
 imports is read there, the package imports only a pinned set of outside
-modules, only the library's edges read coordinates, and only cli.main
-writes an artifact."""
+modules, only the library's edges read coordinates, only edge reports
+subtract indices, and only cli.main writes an artifact."""
 
 from __future__ import annotations
 
@@ -143,6 +143,18 @@ def test_coordinates_are_read_only_at_the_edges():
         if "index_of" in _reads(ast.parse(path.read_text())):
             readers.append(path.name)
     assert readers == ["constructions.py", "groups.py", "serialize.py"]
+
+
+def test_differences_are_read_only_for_edges():
+    # A subgroup's closure builds its coset index, so membership and
+    # legality are coset lookups.  Only the modules that report an edge's
+    # difference, cayley's illegal-edge message and the starter scan, may
+    # subtract indices with difference.
+    readers = []
+    for path in sorted((ROOT / "src" / "starfact").glob("*.py")):
+        if "difference" in _reads(ast.parse(path.read_text())):
+            readers.append(path.name)
+    assert readers == ["cayley.py", "starters.py"]
 
 
 def test_only_main_writes_in_the_cli():

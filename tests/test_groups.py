@@ -139,17 +139,19 @@ def test_coset_reps_are_the_first_index_of_each_coset():
         for group in enumerate_abelian_groups(order):
             for s in group.subgroups:
                 assert s.coset_reps == tuple(map(s.coset_of.index, range(s.index))), s
+                assert all(a < b for a, b in zip(s.coset_reps, s.coset_reps[1:])), s
                 count += 1
     assert count == 1481
 
 
 def test_coset_reps_take_one_pass_at_a_large_index():
-    # Index 31,250: one scan of coset_of per coset took 36 s.
-    s = make_group([5**6, 5, 2]).subgroup([(0, 1, 0)])
-    coset = s.coset_of
+    # Index 31,250: one scan of coset_of per coset took 36 s.  The closure
+    # builds the coset index and the representatives together.
     start = time.perf_counter()
-    reps = s.coset_reps
+    s = make_group([5**6, 5, 2]).subgroup([(0, 1, 0)])
     elapsed = time.perf_counter() - start
+    coset = s.coset_of
+    reps = s.coset_reps
     assert len(reps) == s.index == 31_250
     assert reps[:4] == (0, 1, 10, 11) and coset[reps[-1]] == s.index - 1
     assert elapsed < 5.0, f"{elapsed:.2f}s"
@@ -260,6 +262,10 @@ def test_lattice_generators_round_trip_through_the_wire_format():
                 again = subgroup_from_generators(g, gens)
                 assert again.elements == s.elements
                 assert again.generators == s.generators
+                assert again.coset_of == s.coset_of and again.coset_reps == s.coset_reps
+                # the coset index does not depend on the order of closing
+                backward = subgroup_from_generators(g, gens[::-1])
+                assert backward.coset_of == s.coset_of and backward.coset_reps == s.coset_reps
                 count += 1
     assert count == 1481
 
