@@ -31,13 +31,14 @@ __all__ = [
 @dataclass(frozen=True)
 class CayleyModel:
     """K_{m x n} given by (group, H); vertex parts are the cosets of H.
-    Vertices, differences and Omega are vertex indices."""
+    Vertices, differences and Omega are vertex indices; omega is the
+    ascending tuple of the vertices outside H, read off H.coset_of."""
 
     group: AbelianGroup
     H: Subgroup
     m: int
     n: int
-    omega: frozenset[int]
+    omega: tuple[int, ...]
 
     @property
     def edge_count(self) -> int:
@@ -76,13 +77,12 @@ def build_model(H: Subgroup) -> CayleyModel:
         raise ValueError("H must have order at least 2 (parts of size >= 2)")
     if H.order >= group.order:
         raise ValueError("H must be a proper subgroup")
-    omega = frozenset(compress(range(group.order), H.coset_of))
     return CayleyModel(
         group=group,
         H=H,
         m=group.order // H.order,
         n=H.order,
-        omega=omega,
+        omega=tuple(compress(range(group.order), H.coset_of)),
     )
 
 

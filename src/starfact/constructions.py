@@ -164,7 +164,6 @@ def construct_prime_power(p: int, v: int) -> Starter:
     model = build_model(group.subgroup([(0, 0, 1)]))
     A = group.subgroup([(1, 0, 0), (0, 1, 0)])
     negs = group.negs
-    omega = sorted(model.omega)
 
     printed = (2, 0)
     anchor_candidates = [printed] + [
@@ -177,7 +176,7 @@ def construct_prime_power(p: int, v: int) -> Starter:
             counts = scan_sets(model, sets)[0]
             singles = [
                 StarterSet((model.edge(0, w),), A)  # vertex index 0 is the identity
-                for w in omega
+                for w in model.omega
                 if not counts[w] and w < negs[w]
             ]
             resolutions = [{"slot": "final_set_bridge_coordinate", "value": bridge_c}]

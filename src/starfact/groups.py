@@ -5,8 +5,9 @@ each is named by its vertex index, its mixed-radix (lexicographic) rank; the
 package works on indices, subgroup elements and generators included.
 Coordinates are read only by AbelianGroup.index_of and written only to
 starter JSON and messages, through elements().  Index order is lexicographic
-coordinate order, so every set-valued result, sorted by index, comes back in
-the same order at every run and output is reproducible byte for byte.
+coordinate order; a subgroup's elements are held once, as their ascending
+index tuple, and membership reads its coset index, so every result comes
+back in the same order at every run and output is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -165,13 +166,13 @@ class AbelianGroup:
                     break
             else:
                 gens.append([n, unit])
-        elems = frozenset(range(self.order))
+        elems = tuple(range(self.order))
         return Subgroup(self, tuple(g for _, g in gens), elems, (0,) * self.order, (0,))
 
     @cached_property
     def subgroups(self) -> tuple[Subgroup, ...]:
         """Every subgroup, found by repeatedly adjoining single elements,
-        sorted by (order, sorted element list) so the listing is stable.
+        sorted by (order, elements) so the listing is stable.
         <P, g> depends only on g + P, so P is extended by each other coset's
         least element, the one a scan of every element would reach first.
         Each closure reads a transient translation row of its representative
@@ -182,7 +183,7 @@ class AbelianGroup:
         is skipped.  It could only rebuild a subgroup that r found first, so
         the generators stay the same."""
         everything = tuple(range(self.order))
-        trivial = Subgroup(self, (), frozenset({0}), everything, everything)
+        trivial = Subgroup(self, (), (0,), everything, everything)
         found = {trivial.elements: trivial}
         queue = [trivial]
         for sub in queue:  # breadth first: the loop reaches what it appends
@@ -199,21 +200,22 @@ class AbelianGroup:
                 for j in range(1, k):
                     if gcd(j, k) == 1:
                         repeats[cycle[j]] = 1
-        return tuple(sorted(found.values(), key=lambda s: (s.order, s.sorted_elements)))
+        return tuple(sorted(found.values(), key=lambda s: (s.order, s.elements)))
 
 
 @dataclass(frozen=True)
 class Subgroup:
-    """Subgroup of an AbelianGroup, identified by its group and its element
-    set, a set of vertex indices.  The closure that builds it fills the
-    rest, which takes no part in equality or hashing: its generators, vertex
-    indices in the order they were adjoined; coset_of, the coset number of
-    each vertex, with cosets numbered by least element, so the subgroup is
-    coset 0; and coset_reps, those least elements, ascending."""
+    """Subgroup of an AbelianGroup, identified by its group and its elements,
+    the ascending tuple of its vertex indices: subgroups are equal when those
+    tuples agree.  The closure that builds it fills the rest, which takes no
+    part in equality or hashing: its generators, vertex indices in the order
+    they were adjoined; coset_of, the coset number of each vertex, with
+    cosets numbered by least element, so the subgroup is coset 0 and holds x
+    when coset_of[x] is 0; and coset_reps, those least elements, ascending."""
 
     group: AbelianGroup
     generators: tuple[int, ...] = field(compare=False)
-    elements: frozenset[int]
+    elements: tuple[int, ...]
     coset_of: tuple[int, ...] = field(compare=False)
     coset_reps: tuple[int, ...] = field(compare=False)
 
@@ -225,10 +227,6 @@ class Subgroup:
     def index(self) -> int:
         return self.group.order // len(self.elements)
 
-    @cached_property
-    def sorted_elements(self) -> tuple[int, ...]:
-        return tuple(sorted(self.elements))
-
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {list(self.group.cyclic_orders)})"
 
@@ -238,15 +236,15 @@ def make_group(cyclic_orders) -> AbelianGroup:
     return AbelianGroup(tuple(cyclic_orders))
 
 
-def _adjoin(elems: frozenset[int], coset_of, reps, row: list[int]):
+def _adjoin(elems: tuple[int, ...], coset_of, reps, row: list[int]):
     """(elements, coset_of, coset_reps, cycle) of <P, g>, for P given by its
-    elements, coset index and representatives, and row[x] = x + g.  Adding
-    g maps coset c of P to the coset of reps[c] + g, and each cycle of that
-    permutation is one coset of <P, g>, numbered when first met by
+    ascending elements, coset index and representatives, and row[x] = x + g.
+    Adding g maps coset c of P to the coset of reps[c] + g, and each cycle
+    of that permutation is one coset of <P, g>, numbered when first met by
     ascending c, so by least element.  cycle, that of coset 0, lists the
     cosets of 0, g, 2g, ...; the elements are P shifted along the row
-    through them.  The caller builds the row, so no closure fills the
-    group's cache of translation rows."""
+    through them, gathered in a list and sorted.  The caller builds the
+    row, so no closure fills the group's cache of translation rows."""
     cycle = [0]
     while c := coset_of[row[reps[cycle[-1]]]]:
         cycle.append(c)
@@ -259,26 +257,27 @@ def _adjoin(elems: frozenset[int], coset_of, reps, row: list[int]):
             for _ in cycle:  # every cycle is as long as the first
                 num[c] = n
                 c = coset_of[row[reps[c]]]
-    out = set(elems)
+    out = list(elems)
     coset = elems
     for _ in cycle[1:]:
         coset = list(map(row.__getitem__, coset))
-        out.update(coset)
-    return frozenset(out), tuple(map(num.__getitem__, coset_of)), tuple(new_reps), cycle
+        out += coset
+    out.sort()
+    return tuple(out), tuple(map(num.__getitem__, coset_of)), tuple(new_reps), cycle
 
 
 def subgroup_from_generators(group: AbelianGroup, generators) -> Subgroup:
     """Closure of generators given in coordinates, each mapped once through
     index_of; the empty list gives the trivial subgroup."""
     gens = tuple(map(group.index_of, generators))
-    elems, coset_of, reps = frozenset({0}), range(group.order), range(group.order)
+    elems, coset_of, reps = (0,), range(group.order), range(group.order)
     for g in gens:
         elems, coset_of, reps, _ = _adjoin(elems, coset_of, reps, group._row(g))
     return Subgroup(group, gens, elems, tuple(coset_of), tuple(reps))
 
 
 def all_subgroups(group: AbelianGroup) -> list[Subgroup]:
-    """Every subgroup, sorted by (order, sorted element list); a fresh list
+    """Every subgroup, sorted by (order, elements); a fresh list
     over the group's cached lattice."""
     return list(group.subgroups)
 

@@ -112,10 +112,9 @@ class _Ctx:
         group = model.group
         self.neg = group.negs
         self.invol = group.involutions
-        self.omega_ids = sorted(model.omega)
-        self.omega_mask = sum(1 << i for i in self.omega_ids)
+        self.omega_mask = sum(1 << i for i in model.omega)
 
-        self.companions = sorted(group.subgroups, key=lambda s: (-s.order, s.sorted_elements))
+        self.companions = sorted(group.subgroups, key=lambda s: (-s.order, s.elements))
         self.comp_index = [s.index for s in self.companions]
         # A list per companion, since _moves reads it at every node.
         self.comp_member = [list(map(not_, s.coset_of)) for s in self.companions]
@@ -266,7 +265,7 @@ def _walk(ctx: _Ctx, cap: int | None, collect: bool):
     hits: list[list] = []
     sizes: dict = {}  # state key -> nodes below a hit-free node of that state
     nodes = 0
-    w = ctx.omega_ids[0]
+    w = ctx.model.omega[0]
     stack = [(_moves(ctx, sets, 0, 0, w, anchor), w in invol, 0, None, 0, 0)]
     while stack:
         level, inv, before, key, start, found = stack[-1]
@@ -336,11 +335,11 @@ def search_starter(
     ctx = _Ctx(model)
     # subgroups_tried: the companions whose fresh set can take the least
     # difference at the root (see _moves), in any mode.
-    w0 = ctx.omega_ids[0]
+    w0 = ctx.model.omega[0]
     tried = tuple(
         ctx.companions[c]
         for c, k in enumerate(ctx.comp_index)
-        if k <= len(ctx.omega_ids) and ctx.comp_member[c][w0] == (w0 in ctx.invol)
+        if k <= len(ctx.model.omega) and ctx.comp_member[c][w0] == (w0 in ctx.invol)
     )
     collect = mode == "all"
     # The root costs one node; the walk counts the nodes below it.

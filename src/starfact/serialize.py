@@ -3,8 +3,8 @@
 Every artifact is written by canonical_json, whose text is byte for byte
 that of json.dumps(payload, indent=2, sort_keys=True) plus a newline, so
 identical inputs give identical files.  Starter edges are written in
-coordinates and factorization edges as [u, v] vertex-index pairs; the
-starter format converts here.
+coordinates, converted here, and factorization edges as [u, v] vertex-index
+pairs, straight from the factorization's own (u, v) tuples.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ def canonical_json(payload) -> str:
 
     The indenting encoder of json is pure Python, one generator step per
     value.  _encode writes the same text but joins a list of ints, or a
-    list of int lists (a factor), in one step.  It knows str-keyed dicts,
-    lists, tuples, str, int, float, bool and None; a payload holding any
-    other value, a subclass of one of these included, goes to json.dumps
-    whole, as does one nested too deep to recurse, so its text or its
-    error is the json module's."""
+    list of int rows (a factor, as lists or tuples), in one step.  It knows
+    str-keyed dicts, lists, tuples (written as arrays), str, int, float,
+    bool and None; a payload holding any other value, a subclass of one of
+    these included, goes to json.dumps whole, as does one nested too deep
+    to recurse, so its text or its error is the json module's."""
     try:
         return _encode(payload, "\n") + "\n"
     except (_Unhandled, RecursionError):
@@ -51,8 +51,8 @@ def canonical_json(payload) -> str:
 
 
 def _encode(x, newline: str) -> str:
-    """x as json.dumps(x, indent=2, sort_keys=True) writes it at the depth
-    whose line break plus indent is newline."""
+    """x as json.dumps(x, indent=2, sort_keys=True) writes it, tuples as
+    arrays, at the depth whose line break plus indent is newline."""
     kind = type(x)
     if kind is list or kind is tuple:
         if not x:
@@ -63,13 +63,13 @@ def _encode(x, newline: str) -> str:
         if types == {int}:
             body = sep.join(map(str, x))
         elif (
-            types == {list}
+            types in ({list}, {tuple})
             and x[0]
             and len(set(map(len, x))) == 1
             and set(map(type, ints := tuple(chain.from_iterable(x)))) == {int}
         ):
-            # Int lists of one length share one template, so a factor's
-            # edges are written by one % over all their ints.
+            # Int rows of one length, all lists or all tuples, share one
+            # template, so a factor's edges are written by one % over all.
             deeper = inner + "  "
             line = "[" + deeper + ("," + deeper).join(["%d"] * len(x[0])) + inner + "]"
             body = sep.join([line] * len(x)) % ints
@@ -147,10 +147,11 @@ def starter_from_payload(payload: dict) -> Starter:
 
 
 def factorization_payload(fact: OneFactorization) -> dict:
+    """The factorization's own factors, which canonical_json writes as arrays."""
     return {
         "group": group_payload(fact.model.group),
         "H_generators": generators_payload(fact.model.H),
-        "factors": [[[u, v] for u, v in factor] for factor in fact.factors],
+        "factors": fact.factors,
     }
 
 

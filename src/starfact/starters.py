@@ -150,7 +150,7 @@ def scan_sets(model: CayleyModel, sets):
     el = group.elements()
     negs = group.negs
     invol = group.involutions
-    in_h = model.H.elements
+    h_coset = model.H.coset_of
     counts = [0] * group.order
     illegal: list[tuple[int, int, int, int]] = []
     c2 = ConditionVerdict("condition 2 (marked endpoints form coset transversals)")
@@ -165,13 +165,13 @@ def scan_sets(model: CayleyModel, sets):
             short = d in invol
             if not short:
                 hits[coset[v]] += 1
-            if d in in_h:
+            if not h_coset[d]:
                 illegal.append((i, u, v, d))
             else:
                 counts[d] += 1
                 if not short:
                     counts[negs[d]] += 1
-            if short and d not in sub.elements:
+            if short and coset[d]:
                 c3.fail(
                     f"set {i}: short edge {el[u]}~{el[v]} has difference {el[d]}"
                     " outside its companion subgroup"
@@ -196,7 +196,7 @@ def verify_starter(starter: Starter) -> VerificationReport:
     for d, count in enumerate(counts):
         if count > 1:
             c1.fail(f"difference {el[d]} covered {count} times")
-    for d in sorted(model.omega):
+    for d in model.omega:
         if not counts[d]:
             c1.fail(f"difference {el[d]} not covered")
     return VerificationReport(c1.ok and c2.ok and c3.ok, c1, c2, c3)

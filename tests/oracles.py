@@ -264,7 +264,7 @@ def reference_walk(model: CayleyModel, mode: str = "first", budget: int | None =
     depth-first order, the root included."""
     group = model.group
     omega = sorted(model.omega)
-    companions = sorted(group.subgroups, key=lambda s: (-s.order, s.sorted_elements))
+    companions = sorted(group.subgroups, key=lambda s: (-s.order, s.elements))
     collect = mode == "all"
     nodes = 1
     hits: list = []
@@ -314,7 +314,7 @@ def reference_walk(model: CayleyModel, mode: str = "first", budget: int | None =
             if sum(left for _, left, _, _ in child) > len(rest):
                 continue
             if not rest:
-                hits.append([(companions[c].sorted_elements, sorted(e)) for c, _, _, e in child])
+                hits.append([(companions[c].elements, sorted(e)) for c, _, _, e in child])
                 if not collect:
                     return True
                 continue

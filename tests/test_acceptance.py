@@ -171,7 +171,7 @@ def test_criterion_6_search_matches_brute_force_through_order_12():
                     )
                     assert found == (oracle.count > 0), (
                         group.cyclic_orders,
-                        H.sorted_elements,
+                        H.elements,
                     )
                     checked += 1
     elapsed = time.perf_counter() - start

@@ -3,7 +3,8 @@ package exports exactly what its modules export, every name a module
 exports has a caller in the package or the benchmark, every name a module
 imports is read there, the package imports only a pinned set of outside
 modules, only the library's edges read coordinates, only edge reports
-subtract indices, and only cli.main writes an artifact."""
+subtract indices, vertex collections are read as built, and only cli.main
+writes an artifact."""
 
 from __future__ import annotations
 
@@ -155,6 +156,24 @@ def test_differences_are_read_only_for_edges():
         if "difference" in _reads(ast.parse(path.read_text())):
             readers.append(path.name)
     assert readers == ["cayley.py", "starters.py"]
+
+
+def test_vertex_collections_are_read_as_built():
+    # Subgroup elements and Omega are built once, as ascending tuples, and
+    # membership is a coset lookup: no module sorts either again, and only
+    # groups names frozenset, for its involution lookup.
+    sorts, sets = [], []
+    for path in sorted((ROOT / "src" / "starfact").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sorted":
+                read = {a.attr for a in node.args if isinstance(a, ast.Attribute)}
+                if read & {"omega", "elements"}:
+                    sorts.append(path.name)
+        if "frozenset" in _reads(tree):
+            sets.append(path.name)
+    assert sorts == []
+    assert sets == ["groups.py"]
 
 
 def test_only_main_writes_in_the_cli():

@@ -661,7 +661,8 @@ def test_malformed_factorization_exits_64(tmp_path, capsys, path, value, message
     # not parse (empty path); each message the program writes itself was
     # recorded while the loader still built Edge objects.
     if path:
-        payload = factorization_payload(develop_factorization(starter_from_payload(_Z2Z6)))
+        fact = develop_factorization(starter_from_payload(_Z2Z6))
+        payload = json.loads(canonical_json(factorization_payload(fact)))
         target = payload
         for key in path[:-1]:
             target = target[key]
@@ -679,7 +680,8 @@ def test_malformed_factorization_exits_64(tmp_path, capsys, path, value, message
 
 def test_empty_factor_fails_verification(tmp_path, capsys):
     # An empty factor is well formed, so it loads and fails verification.
-    payload = factorization_payload(develop_factorization(starter_from_payload(_Z2Z6)))
+    fact = develop_factorization(starter_from_payload(_Z2Z6))
+    payload = json.loads(canonical_json(factorization_payload(fact)))
     payload["factors"][0] = []
     fact = tmp_path / "fact.json"
     fact.write_text(json.dumps(payload))

@@ -54,7 +54,7 @@ def test_partial_family_shape_p5():
     starter = construct_prime_power(5, 2)
     family = starter.sets[:4]
     assert list(starter.model.group.cyclic_orders) == [5, 5, 2]
-    assert starter.model.H.sorted_elements == (0, 1)  # (0, 0, 0) and (0, 0, 1)
+    assert starter.model.H.elements == (0, 1)  # (0, 0, 0) and (0, 0, 1)
     assert all(s.subgroup.order == 25 for s in starter.sets[4:])
     # one special set, 2t' = 2 middle sets, one final set; five edges each
     # at p = 5 (3t + t - 1 + 2 = 5, 4t + 1 = 5, 4t' + 1 = 5)

@@ -111,16 +111,16 @@ def test_elements_are_sorted_and_complete():
 def test_subgroup_closure():
     g = make_group([4])
     s = g.subgroup([(2,)])
-    assert s.elements == frozenset({0, 2})
+    assert s.elements == (0, 2)
     assert s.order == 2
     assert s.index == 2
     g12 = make_group([12])
-    assert g12.subgroup([(4,)]).elements == frozenset({0, 4, 8})
+    assert g12.subgroup([(4,)]).elements == (0, 4, 8)
     assert g12.subgroup([]).order == 1
     assert g12.full_subgroup().order == 12
     h = make_group([2, 2])
     assert h.subgroup([(1, 0), (0, 1)]).order == 4
-    assert h.subgroup([(1, 1)]).elements == frozenset({0, 3})  # (0, 0) and (1, 1)
+    assert h.subgroup([(1, 1)]).elements == (0, 3)  # (0, 0) and (1, 1)
 
 
 def test_cosets_are_lex_least_reps():
@@ -173,14 +173,14 @@ def test_subgroup_lattice_sizes():
         subs = all_subgroups(g)
         assert len(subs) == count, orders
         # Lagrange, plus stable ordering
-        keys = [(s.order, s.sorted_elements) for s in subs]
+        keys = [(s.order, s.elements) for s in subs]
         assert keys == sorted(keys)
         for s in subs:
             assert g.order % s.order == 0
         # each call hands out a fresh list over the same cached lattice
         subs.sort(key=lambda s: -s.order)
         again = all_subgroups(g)
-        assert [(s.order, s.sorted_elements) for s in again] == keys
+        assert [(s.order, s.elements) for s in again] == keys
         assert again == all_subgroups(g)
         assert again is not all_subgroups(g)
 
@@ -249,8 +249,9 @@ def test_lattice_listing_is_pinned_and_fast(capsys):
 def test_lattice_generators_round_trip_through_the_wire_format():
     # Every subgroup of every group of order <= 48 holds its generators as
     # vertex indices, its elements are the coordinate closure of those
-    # generators, and closing its wire format gives back the same elements
-    # and the same generators.
+    # generators, held as the ascending tuple of the vertices in coset 0,
+    # and closing its wire format gives back the same elements and the
+    # same generators.
     count = 0
     for order in range(2, 49):
         for g in enumerate_abelian_groups(order):
@@ -258,7 +259,10 @@ def test_lattice_generators_round_trip_through_the_wire_format():
                 assert all(type(x) is int and 0 <= x < order for x in s.generators)
                 gens = generators_payload(s)
                 o = g.cyclic_orders
-                assert s.elements == frozenset(index(o, a) for a in closure(o, gens)), s
+                assert s.elements == tuple(sorted(index(o, a) for a in closure(o, gens))), s
+                # held once, strictly ascending, and the members of coset 0
+                assert s.elements == tuple(sorted(set(s.elements)))
+                assert s.elements == tuple(x for x, c in enumerate(s.coset_of) if c == 0)
                 again = subgroup_from_generators(g, gens)
                 assert again.elements == s.elements
                 assert again.generators == s.generators
@@ -287,13 +291,13 @@ def test_subgroups_are_equal_by_group_and_elements():
         for g in enumerate_abelian_groups(order):
             elems = g.elements()
             for s in g.subgroups:
-                closed = make_group(g.cyclic_orders).subgroup([elems[x] for x in s.sorted_elements])
+                closed = make_group(g.cyclic_orders).subgroup([elems[x] for x in s.elements])
                 assert closed.generators != s.generators
                 assert closed == s and hash(closed) == hash(s), s
                 count += 1
     assert count == 1481
     z4, z2z2 = make_group([4]).subgroup([(2,)]), make_group([2, 2]).subgroup([(1, 0)])
-    assert z4.elements == z2z2.elements == frozenset({0, 2})
+    assert z4.elements == z2z2.elements == (0, 2)
     assert z4 != z2z2
 
 
@@ -397,10 +401,10 @@ def test_subgroup_properties_random_sweep():
         gens = [rng.choice(elems) for _ in range(rng.randint(0, 2))]
         s = g.subgroup(gens)
         # the index elements are the coordinate closure of the generators
-        assert s.elements == frozenset(index(o, a) for a in closure(o, gens))
+        assert s.elements == tuple(sorted(index(o, a) for a in closure(o, gens)))
         members = {elems[h] for h in s.elements}
         # closure generated twice is the same subgroup
-        assert g.subgroup([elems[h] for h in s.sorted_elements]).elements == s.elements
+        assert g.subgroup([elems[h] for h in s.elements]).elements == s.elements
         assert g.order % s.order == 0
         reps = [elems[r] for r in s.coset_reps]
         assert len(reps) == s.index
@@ -447,7 +451,7 @@ def test_full_subgroup_generators_fold_coprime_factors():
             gens = group.full_subgroup().generators
             el = group.elements()
             closed = subgroup_from_generators(group, [el[g] for g in gens])
-            assert closed.elements == frozenset(range(order)), group
+            assert closed.elements == tuple(range(order)), group
             rank = max(
                 sum(n % p == 0 for n in group.cyclic_orders) for p, _ in factorize(order)
             )

@@ -52,9 +52,9 @@ def test_found_on_z4():
     sets = out.witness.sets
     assert len(sets) == 1
     assert sets[0].edges == ((0, 1),)
-    assert sets[0].subgroup.sorted_elements == (0, 2)
+    assert sets[0].subgroup.elements == (0, 2)
     assert len(out.subgroups_tried) == 1
-    assert out.subgroups_tried[0].sorted_elements == (0, 2)
+    assert out.subgroups_tried[0].elements == (0, 2)
 
 
 def test_none_exists_examples():
@@ -210,7 +210,7 @@ def test_state_table_is_only_a_cache(
 def _witness_sets(out):
     """Each witness of a search outcome as the reference walk lists it."""
     found = out.witnesses or ((out.witness,) if out.witness else ())
-    return [[(s.subgroup.sorted_elements, list(s.edges)) for s in w.sets] for w in found]
+    return [[(s.subgroup.elements, list(s.edges)) for s in w.sets] for w in found]
 
 
 _MODES = ("first", "exhaust", "all")
@@ -250,7 +250,7 @@ def _sweep(model, mode, cap=None):
     budgets = range(n + 2 if whole else n + 1)
     for b in budgets:
         out = search_starter(model, mode, b)
-        assert out.nodes_explored == min(b, n), (model.H.sorted_elements, mode, b)
+        assert out.nodes_explored == min(b, n), (model.H.elements, mode, b)
         assert (out.status == BUDGET_EXCEEDED) == (b < n or not whole)
         if mode == "all":
             got = _witness_sets(out)
@@ -406,7 +406,7 @@ def test_search_agrees_with_brute_force_small_orders():
                         ).count
                         > 0
                     )
-                    assert found == positive, (group.cyclic_orders, H.sorted_elements)
+                    assert found == positive, (group.cyclic_orders, H.elements)
 
 
 def test_certify_small_pairs():

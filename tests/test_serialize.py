@@ -92,6 +92,9 @@ class _Small(enum.IntEnum):
         {1: "int key"},
         OrderedDict([("b", 1), ("a", 2)]),
         {"nested": [{"deep": [[[1, 2]], [[3]]]}]},
+        pytest.param(((1, 2), (3, True)), id="tuple-rows-with-a-bool"),
+        pytest.param(((1, 2), (3,)), id="tuple-rows-of-two-lengths"),
+        pytest.param([(1, 2), [3, 4]], id="tuple-and-list-rows"),
     ],
 )
 def test_edge_cases_match_json_dumps(payload):
@@ -124,11 +127,13 @@ def _random_value(rng: random.Random, depth: int):
         ])
     if roll < 0.45:  # an int list, the first fast path
         return [rng.randrange(100) for _ in range(rng.randrange(4))]
-    if roll < 0.6:  # int lists of one length, the second, now and then spoiled
+    if roll < 0.6:  # int rows of one length, the second, now and then spoiled
         k = rng.randrange(1, 3)
         rows = [[rng.randrange(100) for _ in range(k)] for _ in range(rng.randrange(1, 4))]
         if rng.random() < 0.3:
             rows[rng.randrange(len(rows))][0] = rng.choice([True, 1.0, None, "1", []])
+        if rng.random() < 0.4:  # all tuples, as a factorization's factors are
+            rows = [tuple(row) for row in rows]
         return rows
     if roll < 0.8:
         return [_random_value(rng, depth + 1) for _ in range(rng.randrange(4))]
@@ -144,11 +149,12 @@ def test_random_payloads_match_json_dumps():
 
 
 # JSON values.  nan and the infinities are drawn on their own too, since
-# st.floats() seldom gives them; the int pairs feed the writer's fast path
-# for lists of int lists of one length, with now and then a bool among the
-# ints.  Text draws from characters json escapes or writes as they are, a
-# lone surrogate included.
+# st.floats() seldom gives them; the int pairs, as lists or left as tuples,
+# feed the writer's fast path for int rows of one length, with now and then
+# a bool among the ints.  Text draws from characters json escapes or writes
+# as they are, a lone surrogate included.
 _ints = st.integers()
+_pairs = st.tuples(_ints | st.booleans(), _ints)
 _text = st.text(st.sampled_from('a"\\/\n\t\x00\x7f\u00e9\u20ac\u2028\U0001f600\ud800'))
 _json_values = st.recursive(
     st.none()
@@ -157,7 +163,8 @@ _json_values = st.recursive(
     | st.floats()
     | st.sampled_from([math.nan, math.inf, -math.inf])
     | _text
-    | st.lists(st.tuples(_ints | st.booleans(), _ints).map(list)),
+    | st.lists(_pairs.map(list))
+    | st.lists(_pairs),
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(_text, children, max_size=4),
     max_leaves=12,

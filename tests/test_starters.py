@@ -207,13 +207,13 @@ def test_starter_roundtrip_preserves_provenance():
 
 def test_factorization_payload_golden_and_roundtrip():
     fact = develop_factorization(_golden_starter())
-    payload = factorization_payload(fact)
+    payload = json.loads(canonical_json(factorization_payload(fact)))
     assert payload == {
         "group": {"cyclic_orders": [4]},
         "H_generators": [[2]],
         "factors": [[[0, 1], [2, 3]], [[0, 3], [1, 2]]],
     }
-    back = factorization_from_payload(json.loads(canonical_json(payload)))
+    back = factorization_from_payload(payload)
     assert back.factors == fact.factors
     assert verify_factorization(back).passed
 
@@ -389,7 +389,7 @@ def _tampered(starter):
     w = (v + 1) % group.order
     if w == u:
         w = (w + 1) % group.order
-    h = model.H.sorted_elements[1]
+    h = model.H.elements[1]
     subs = group.subgroups
     swapped = subs[(subs.index(first.subgroup) + 1) % len(subs)]
 
