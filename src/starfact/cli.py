@@ -71,7 +71,7 @@ _STATUS_EXIT = {
 
 _BUDGET_HELP = (
     "(default unlimited; the search's table of hit-free states stops growing"
-    " at a fixed size, so an unbudgeted run's memory stays bounded)"
+    " at a fixed size)"
 )
 
 

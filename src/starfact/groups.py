@@ -8,6 +8,9 @@ starter JSON and messages, through elements().  Index order is lexicographic
 coordinate order; a subgroup's elements are held once, as their ascending
 index tuple, and membership reads its coset index, so every result comes
 back in the same order at every run and output is reproducible byte for byte.
+The group keeps no translation rows: translation(g) builds a fresh row at
+each call, and a reader that reuses rows keeps them.  Every Subgroup comes
+from a closure here, the lattice's or subgroup_from_generators'.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ __all__ = [
     "check_group_order",
 ]
 
-# The largest group order accepted.  A group keeps per-element tables
-# (translation rows, negation, coset indices), so a larger order is refused
-# with ValueError before any of them is allocated.
+# The largest group order accepted.  A group and its readers build
+# per-element tables (translation rows, negation, coset indices), so a
+# larger order is refused with ValueError before any of them is allocated.
 MAX_GROUP_ORDER = 1_000_000
 
 
@@ -108,28 +111,16 @@ class AbelianGroup:
             out = [a * n + c for a in out for c in col]
         return out
 
-    @cached_property
-    def _rows(self) -> list[list[int] | None]:  # see translation
-        return [None] * self.order
-
-    def _row(self, g: int) -> list[int]:
-        """Row of x + g for every vertex index x, built afresh: translation
-        caches it, a closure drops it when done.  The digits of g come off
-        its index, least significant factor first, so no coordinate table
-        is built."""
+    def translation(self, g: int) -> list[int]:
+        """Row of x + g for every vertex index x, with g a vertex index,
+        built afresh at each call: a reader that reuses rows keeps them
+        itself.  The digits of g come off its index, least significant
+        factor first, so no coordinate table is built."""
         columns = []
         for n in reversed(self.cyclic_orders):
             g, c = divmod(g, n)
             columns.append([(x + c) % n for x in range(n)])
         return self._per_coordinate(reversed(columns))
-
-    def translation(self, g: int) -> list[int]:
-        """Row of x + g for every vertex index x, with g a vertex index.
-        Rows, and the table that holds them, are built on first use."""
-        row = self._rows[g]
-        if row is None:
-            row = self._rows[g] = self._row(g)
-        return row
 
     @cached_property
     def negs(self) -> list[int]:
@@ -151,11 +142,12 @@ class AbelianGroup:
     def subgroup(self, generators) -> Subgroup:
         return subgroup_from_generators(self, generators)
 
-    def full_subgroup(self) -> Subgroup:
-        """The whole group.  Each generator is a sum of unit vectors whose
-        factor orders are pairwise coprime, which generates those factors
-        together (CRT); first fit, so with prime-power factors there are as
-        many generators as the largest p-rank."""
+    @property
+    def generators(self) -> tuple[int, ...]:
+        """Vertex indices that generate the whole group.  Each is a sum of
+        unit vectors whose factor orders are pairwise coprime, which
+        generates those factors together (CRT); first fit, so with
+        prime-power factors there are as many as the largest p-rank."""
         gens: list[list[int]] = []  # [product of the orders summed, index of the sum]
         for i, n in enumerate(self.cyclic_orders):
             unit = prod(self.cyclic_orders[i + 1 :])
@@ -166,8 +158,7 @@ class AbelianGroup:
                     break
             else:
                 gens.append([n, unit])
-        elems = tuple(range(self.order))
-        return Subgroup(self, tuple(g for _, g in gens), elems, (0,) * self.order, (0,))
+        return tuple(g for _, g in gens)
 
     @cached_property
     def subgroups(self) -> tuple[Subgroup, ...]:
@@ -175,7 +166,7 @@ class AbelianGroup:
         sorted by (order, elements) so the listing is stable.
         <P, g> depends only on g + P, so P is extended by each other coset's
         least element, the one a scan of every element would reach first.
-        Each closure reads a transient translation row of its representative
+        Each closure reads a fresh translation row of its representative
         r (see _adjoin) and returns the cycle of P's cosets that r + P
         generates in G/P: the cosets of 0, r, 2r, ...  When that cycle has
         length k, <P, jr> = <P, r> for every j coprime to k, so the cosets
@@ -191,7 +182,7 @@ class AbelianGroup:
             for r in sub.coset_reps[1:]:
                 if repeats[sub.coset_of[r]]:
                     continue
-                closure = _adjoin(sub.elements, sub.coset_of, sub.coset_reps, self._row(r))
+                closure = _adjoin(sub.elements, sub.coset_of, sub.coset_reps, self.translation(r))
                 bigger, coset_of, reps, cycle = closure
                 if bigger not in found:
                     found[bigger] = Subgroup(self, sub.generators + (r,), bigger, coset_of, reps)
@@ -243,8 +234,7 @@ def _adjoin(elems: tuple[int, ...], coset_of, reps, row: list[int]):
     of that permutation is one coset of <P, g>, numbered when first met by
     ascending c, so by least element.  cycle, that of coset 0, lists the
     cosets of 0, g, 2g, ...; the elements are P shifted along the row
-    through them, gathered in a list and sorted.  The caller builds the
-    row, so no closure fills the group's cache of translation rows."""
+    through them, gathered in a list and sorted."""
     cycle = [0]
     while c := coset_of[row[reps[cycle[-1]]]]:
         cycle.append(c)
@@ -272,7 +262,7 @@ def subgroup_from_generators(group: AbelianGroup, generators) -> Subgroup:
     gens = tuple(map(group.index_of, generators))
     elems, coset_of, reps = (0,), range(group.order), range(group.order)
     for g in gens:
-        elems, coset_of, reps, _ = _adjoin(elems, coset_of, reps, group._row(g))
+        elems, coset_of, reps, _ = _adjoin(elems, coset_of, reps, group.translation(g))
     return Subgroup(group, gens, elems, tuple(coset_of), tuple(reps))
 
 

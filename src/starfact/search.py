@@ -49,6 +49,7 @@ with the tests, in tests/oracles.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import not_
 
 from .cayley import CayleyModel, build_model
@@ -99,8 +100,10 @@ class SearchOutcome:
 
 class _Ctx:
     """Search tables for one (group, H) model, on vertex indices.  The group
-    supplies negation, involutions, translation rows, the lattice of
-    companions and their coset indices.
+    supplies negation, involutions, the lattice of companions and their
+    coset indices.  row(w) is the translation row of w, built on first use
+    and kept for the search's lifetime, since _fill reads one row for many
+    (companion, hit) keys.
 
     fits maps (companion, w, hit) to the placements of difference w that a
     set of that companion whose endpoints already hit the cosets in hit can
@@ -120,6 +123,7 @@ class _Ctx:
         self.comp_member = [list(map(not_, s.coset_of)) for s in self.companions]
         self.comp_invol = [sum(1 << i for i in self.invol if member[i]) for member in self.comp_member]
         self.fits: dict[tuple[int, int, int], tuple] = {}  # filled by _fill
+        self.row = cache(group.translation)
 
 
 def _fill(ctx: _Ctx, key: tuple[int, int, int]) -> tuple:
@@ -127,14 +131,14 @@ def _fill(ctx: _Ctx, key: tuple[int, int, int]) -> tuple:
     (hit | mark, edge) pairs of the edges realizing difference w whose mark
     misses hit, by ascending x.  An involution's edge {x, x + w} is listed
     once, from its lesser endpoint; any other difference gives one edge per
-    x.  The mark holds the cosets of the companion that the endpoints lie
-    in: one coset for a short edge (w lies in the companion), two for a
-    long one."""
+    x, read off ctx.row(w).  The mark holds the cosets of the companion
+    that the endpoints lie in: one coset for a short edge (w lies in the
+    companion), two for a long one."""
     comp, w, hit = key
     coset = ctx.companions[comp].coset_of
     inv = w in ctx.invol
     fits = []
-    for x, y in enumerate(ctx.model.group.translation(w)):
+    for x, y in enumerate(ctx.row(w)):
         if x < y or not inv:
             mark = 1 << coset[x] | 1 << coset[y]
             if not mark & hit:
@@ -325,8 +329,8 @@ def search_starter(
     the outcome is budget_exceeded, never a silent none_exists; a negative
     budget raises ValueError before any search.
     The search runs in this process and returns as soon as its outcome is
-    decided.  Its state table stops at _MAX_STATES entries, so memory stays
-    bounded without a budget.
+    decided.  Its state table stops at _MAX_STATES entries; its placement
+    table and translation rows have no cap.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -384,7 +388,7 @@ def certify_nonexistence(m: int, n: int, budget: int | None = None) -> Certifica
     budget_exceeded on any pair downgrades the result, never silently.  A
     negative budget raises ValueError from the first pair's search_starter,
     before it searches.  Each search's state table stops at _MAX_STATES
-    entries, so memory stays bounded without a budget."""
+    entries; its placement table and translation rows have no cap."""
     if m < 2 or n < 2:
         raise ValueError("need m >= 2 and n >= 2")
     if (m * n) % 2 == 1:

@@ -23,15 +23,17 @@ A one-factorization's factors are sorted tuples of pairs.  Develop and
 invariance work a factor at a time on its mate list, mate[u] = v and
 mate[v] = u; OneFactorization.mates builds them once per factorization for
 verification and invariance to share.  Translating the matching by r is
-the permutation r.m.r^-1, composed in C by operator.itemgetter over the
-group's translation rows.
+the permutation r.m.r^-1, composed in C by operator.itemgetter over
+translation rows.  The group builds a fresh row at each call, so
+develop_factorization keeps the rows it reuses for the one call, and
+check_invariance builds one row per generator of the group.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from operator import itemgetter
 
@@ -210,7 +212,7 @@ def develop_factorization(starter: Starter) -> OneFactorization:
         raise InvalidStarterError(report)
     model = starter.model
     group = model.group
-    rows = group.translation
+    rows = cache(group.translation)  # freed when develop returns
     negs = group.negs
     seen: dict[tuple[int, ...], None] = {}
     for sset in starter.sets:
@@ -279,11 +281,12 @@ def verify_factorization(fact: OneFactorization) -> VerificationReport:
 
 def check_invariance(fact: OneFactorization) -> bool:
     """True when translating any factor by any element of fact.model.group
-    lands on a factor.  Only the group's generators are tried: every
-    translation is a composite of theirs.  When every factor is a perfect
-    matching they are compared as mate lists, else as sorted pair tuples."""
+    lands on a factor.  Only the rows of AbelianGroup.generators are built
+    and tried: every translation is a composite of theirs.  When every
+    factor is a perfect matching they are compared as mate lists, else as
+    sorted pair tuples."""
     group = fact.model.group
-    rows = [group.translation(g) for g in group.full_subgroup().generators]
+    rows = [group.translation(g) for g in group.generators]
     mates = fact.mates
     if None not in mates:
         moves = [itemgetter(*m) for m in mates]  # moves[j](row) is row.m_j

@@ -55,7 +55,7 @@ def test_edge_canonicalization_and_kinds():
     assert m.group.difference(*e) not in m.group.involutions  # long
     assert _differences(m, e) == {2, 8}
     # both ends of a long edge are marked: the full group's one coset is hit twice
-    full = StarterSet((e,), m.group.full_subgroup())
+    full = StarterSet((e,), m.group.subgroups[-1])
     assert _condition2(m, full).violations == [
         "set 0: coset of (0,) has 2 marked endpoints (companion order 10)"
     ]
@@ -66,7 +66,7 @@ def test_edge_canonicalization_and_kinds():
     assert m22.group.difference(*s) in m22.group.involutions  # short
     assert _differences(m22, s) == {1}
     # only one end of a short edge is marked, so the full group passes ...
-    assert _condition2(m22, StarterSet((s,), m22.group.full_subgroup())).ok
+    assert _condition2(m22, StarterSet((s,), m22.group.subgroups[-1])).ok
     # ... and it is the lesser end: under <(1, 0)> the ends lie in two cosets,
     # and the coset of the greater end (0, 1) is the one left empty
     split = StarterSet((s,), m22.group.subgroup([(1, 0)]))

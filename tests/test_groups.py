@@ -11,7 +11,9 @@ from math import prod
 import pytest
 
 from coords import add, closure, element_order, index, neg, scale, sub
+from starfact.cayley import build_model
 from starfact.cli import main
+from starfact.constructions import construct_prime_power
 from starfact.groups import (
     AbelianGroup,
     all_subgroups,
@@ -21,7 +23,9 @@ from starfact.groups import (
     subgroup_from_generators,
     subgroups_of_order,
 )
+from starfact.search import search_starter
 from starfact.serialize import generators_payload
+from starfact.starters import check_invariance, develop_factorization
 
 
 def test_make_group_rejects_bad_orders():
@@ -117,7 +121,8 @@ def test_subgroup_closure():
     g12 = make_group([12])
     assert g12.subgroup([(4,)]).elements == (0, 4, 8)
     assert g12.subgroup([]).order == 1
-    assert g12.full_subgroup().order == 12
+    whole = [g12.elements()[x] for x in g12.generators]
+    assert g12.subgroup(whole).order == 12
     h = make_group([2, 2])
     assert h.subgroup([(1, 0), (0, 1)]).order == 4
     assert h.subgroup([(1, 1)]).elements == (0, 3)  # (0, 0) and (1, 1)
@@ -274,12 +279,25 @@ def test_lattice_generators_round_trip_through_the_wire_format():
     assert count == 1481
 
 
-def test_lattice_closures_leave_the_row_cache_empty():
-    # Each closure builds its own translation row and drops it: caching one
-    # row per coset representative took 330 MB over the groups of order 1000.
+def test_groups_keep_no_rows():
+    # translation(g) builds a fresh row at each call and the group keeps
+    # none: caching one row per coset representative took 330 MB over the
+    # lattices of order 1000, and a developed factorization holds its
+    # group.  Readers that reuse rows keep them themselves.
+    kept = {"cyclic_orders", "order", "negs", "involutions", "_elements", "subgroups"}
     groups = enumerate_abelian_groups(1000)
     assert sum(len(g.subgroups) for g in groups) == 2296
-    assert not any("_rows" in g.__dict__ for g in groups)
+    starter = construct_prime_power(5, 2)
+    fact = develop_factorization(starter)
+    assert check_invariance(fact)
+    model = build_model(make_group([2, 6]).subgroup([(1, 0)]))
+    assert search_starter(model, budget=2_000).nodes_explored > 1
+    groups += [fact.model.group, model.group]  # fact holds the starter's model
+    for g in groups:
+        assert set(vars(g)) <= kept, g
+    g = starter.model.group
+    first, second = g.translation(7), g.translation(7)
+    assert first == second and first is not second
 
 
 def test_subgroups_are_equal_by_group_and_elements():
@@ -442,13 +460,13 @@ def test_involution_count_random_sweep():
         }
 
 
-def test_full_subgroup_generators_fold_coprime_factors():
+def test_group_generators_fold_coprime_factors():
     # Each generator sums unit vectors of pairwise coprime orders, so it
     # generates their factors together: with prime-power factors there are
     # as many as the largest p-rank, and they close to the whole group.
     for order in range(2, 65):
         for group in enumerate_abelian_groups(order):
-            gens = group.full_subgroup().generators
+            gens = group.generators
             el = group.elements()
             closed = subgroup_from_generators(group, [el[g] for g in gens])
             assert closed.elements == tuple(range(order)), group
@@ -458,7 +476,7 @@ def test_full_subgroup_generators_fold_coprime_factors():
             assert len(gens) == rank, group
     for orders, count in (([6, 10], 2), ([6, 10, 15], 3), ([17, 17, 2], 2), ([4, 9, 5], 1)):
         group = make_group(orders)
-        gens = group.full_subgroup().generators
+        gens = group.generators
         el = group.elements()
         assert subgroup_from_generators(group, [el[g] for g in gens]).order == group.order
         assert len(gens) == count, orders

@@ -98,7 +98,7 @@ def test_illegal_edge_reported_not_thrown():
 def test_short_edge_companion_membership():
     m = _model([2, 2], [(1, 0)])
     short = m.edge(0, 1)  # (0, 0) ~ (0, 1)
-    inside = StarterSet((short,), m.group.full_subgroup())
+    inside = StarterSet((short,), m.group.subgroups[-1])
     outside = StarterSet((short,), m.group.subgroup([(1, 0)]))
     assert verify_starter(Starter(m, (inside,))).condition3.ok
     verdict = verify_starter(Starter(m, (outside,))).condition3
