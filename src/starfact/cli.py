@@ -96,30 +96,6 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _parse_group(spec: str):
-    orders = [int(tok) for tok in spec.split(",") if tok.strip()]
-    if not orders:
-        raise ValueError(f"empty group spec {spec!r}")
-    return make_group(orders)
-
-
-def _parse_generators(spec: str, rank: int):
-    gens = []
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        coords = tuple(int(tok) for tok in part.split(","))
-        if len(coords) != rank:
-            raise ValueError(
-                f"generator {part!r} has {len(coords)} coordinates, expected {rank}"
-            )
-        gens.append(coords)
-    if not gens:
-        raise ValueError(f"no generators in {spec!r}")
-    return gens
-
-
 def _read_json(path: str, load):
     """load applied to the JSON document at path.  A KeyError or TypeError
     while the document loads, or nesting too deep for the parser, is
@@ -169,8 +145,9 @@ def _check_workers(args) -> None:
 
 def _cmd_search(args):
     _check_workers(args)
-    group = _parse_group(args.group)
-    model = build_model(group.subgroup(_parse_generators(args.H, group.rank)))
+    group = make_group(int(t) for t in args.group.split(",") if t.strip())
+    gens = [tuple(map(int, p.split(","))) for p in args.H.split(";") if p.strip()]
+    model = build_model(group.subgroup(gens))
     outcome = search_starter(model, mode=args.mode, budget=args.budget)
     return outcome.payload(), _STATUS_EXIT[outcome.status], model
 

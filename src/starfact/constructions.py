@@ -9,8 +9,9 @@ Two builders:
   completes it with one singleton per uncovered difference pair, and
   returns the first candidate filling that verifies.
 
-Plus a parity-counting nonexistence certificate and a rule-based
-existence classifier for K_{m x n} under abelian groups.
+Plus a parity-counting nonexistence certificate, built as its JSON
+payload, and a rule-based existence classifier for K_{m x n} under
+abelian groups.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .starters import InvalidStarterError, Starter, StarterSet, scan_sets, verif
 
 __all__ = [
     "ConstructionError",
-    "NonexistenceCertificate",
     "ExistenceVerdict",
     "double_starter",
     "construct_prime_power",
@@ -211,55 +211,38 @@ def construct_prime_power(p: int, v: int) -> Starter:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NonexistenceCertificate:
-    """Counting contradiction for m = 3 mod 4, n = 2d with d odd.
+def parity_nonexistence(m: int, n: int) -> dict | None:
+    """The certificate payload showing that no abelian group admits a
+    K_{m x n} starter, when the parity argument applies; None otherwise.
 
-    Writing G = G' x Z_2 for any candidate abelian group, Omega holds no
-    involutions and exactly d(m-1) elements with even part zero; every
+    The argument is a counting contradiction for m = 3 mod 4, n = 2d with d
+    odd.  Writing G = G' x Z_2 for any candidate abelian group, Omega holds
+    no involutions and exactly d(m-1) elements with even part zero; every
     starter set covers such elements four at a time, but d(m-1) = 2 mod 4.
     """
-
-    m: int
-    n: int
-    d: int
-    type_zero_count: int
-    residue_mod_4: int
-    narrative: dict
-
-    def payload(self) -> dict:
-        return {
-            "type": "parity_nonexistence",
-            "m": self.m,
-            "n": self.n,
-            "d": self.d,
-            "type_zero_count": self.type_zero_count,
-            "residue_mod_4": self.residue_mod_4,
-            "narrative": dict(self.narrative),
-        }
-
-
-def parity_nonexistence(m: int, n: int) -> NonexistenceCertificate | None:
-    """Certificate that no abelian group admits a K_{m x n} starter, when the
-    parity argument applies; None otherwise."""
     if m % 4 != 3 or n % 4 != 2:
         return None
     d = n // 2
     count = d * (m - 1)
-    narrative = {
-        "group_order": m * n,
-        "omega_size": n * (m - 1),
-        "involutions_in_omega": 0,
+    return {
+        "type": "parity_nonexistence",
+        "m": m,
+        "n": n,
+        "d": d,
         "type_zero_count": count,
-        "per_set_type_zero_multiple": 4,
-        "conclusion": (
-            f"each set covers a multiple of 4 of the {count} type-zero"
-            f" differences, but {count} = {count % 4} mod 4"
-        ),
+        "residue_mod_4": count % 4,
+        "narrative": {
+            "group_order": m * n,
+            "omega_size": n * (m - 1),
+            "involutions_in_omega": 0,
+            "type_zero_count": count,
+            "per_set_type_zero_multiple": 4,
+            "conclusion": (
+                f"each set covers a multiple of 4 of the {count} type-zero"
+                f" differences, but {count} = {count % 4} mod 4"
+            ),
+        },
     }
-    return NonexistenceCertificate(
-        m=m, n=n, d=d, type_zero_count=count, residue_mod_4=count % 4, narrative=narrative
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +259,8 @@ class ExistenceVerdict:
     description: str
 
     def payload(self) -> dict:
+        """The verdict as JSON; a parity_count verdict also carries the
+        certificate payload from parity_nonexistence."""
         out = {
             "m": self.m,
             "n": self.n,
@@ -284,7 +269,7 @@ class ExistenceVerdict:
             "description": self.description,
         }
         if self.rule == "parity_count":
-            out["certificate"] = parity_nonexistence(self.m, self.n).payload()
+            out["certificate"] = parity_nonexistence(self.m, self.n)
         return out
 
 

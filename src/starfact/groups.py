@@ -71,10 +71,6 @@ class AbelianGroup:
     def order(self) -> int:
         return prod(self.cyclic_orders)
 
-    @property
-    def rank(self) -> int:
-        return len(self.cyclic_orders)
-
     @cached_property
     def _elements(self) -> tuple[Element, ...]:
         return tuple(itertools.product(*(range(n) for n in self.cyclic_orders)))

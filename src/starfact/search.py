@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from operator import not_
 
 from .cayley import CayleyModel, build_model
 from .groups import Subgroup, enumerate_abelian_groups, subgroups_of_order
@@ -101,7 +100,9 @@ class SearchOutcome:
 class _Ctx:
     """Search tables for one (group, H) model, on vertex indices.  The group
     supplies negation, involutions, the lattice of companions and their
-    coset indices.  row(w) is the translation row of w, built on first use
+    coset indices; cosets holds each companion's coset_of, which is also
+    its membership test, since w lies in a companion exactly when
+    coset_of[w] is 0.  row(w) is the translation row of w, built on first use
     and kept for the search's lifetime, since _fill reads one row for many
     (companion, hit) keys.
 
@@ -119,9 +120,8 @@ class _Ctx:
 
         self.companions = sorted(group.subgroups, key=lambda s: (-s.order, s.elements))
         self.comp_index = [s.index for s in self.companions]
-        # A list per companion, since _moves reads it at every node.
-        self.comp_member = [list(map(not_, s.coset_of)) for s in self.companions]
-        self.comp_invol = [sum(1 << i for i in self.invol if member[i]) for member in self.comp_member]
+        self.cosets = [s.coset_of for s in self.companions]
+        self.comp_invol = [sum(1 << i for i in self.invol if not c[i]) for c in self.cosets]
         self.fits: dict[tuple[int, int, int], tuple] = {}  # filled by _fill
         self.row = cache(group.translation)
 
@@ -178,7 +178,7 @@ def _moves(ctx: _Ctx, sets: list, covered: int, slots: int, w: int, anchor: bool
     extended = cover, slots - need
     for s in sets:
         comp, left, hit, edges = s
-        if left < need or ctx.comp_member[comp][w] != inv:
+        if left < need or (not ctx.cosets[comp][w]) != inv:
             continue
         key = comp, w, hit
         fits = table.get(key)
@@ -196,7 +196,7 @@ def _moves(ctx: _Ctx, sets: list, covered: int, slots: int, w: int, anchor: bool
     for comp, index in enumerate(ctx.comp_index):
         if index > uncovered:
             break
-        if ctx.comp_member[comp][w] != inv:
+        if (not ctx.cosets[comp][w]) != inv:
             continue
         if index > room:
             cut += 1
@@ -343,7 +343,7 @@ def search_starter(
     tried = tuple(
         ctx.companions[c]
         for c, k in enumerate(ctx.comp_index)
-        if k <= len(ctx.model.omega) and ctx.comp_member[c][w0] == (w0 in ctx.invol)
+        if k <= len(ctx.model.omega) and (not ctx.cosets[c][w0]) == (w0 in ctx.invol)
     )
     collect = mode == "all"
     # The root costs one node; the walk counts the nodes below it.

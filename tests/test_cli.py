@@ -253,7 +253,12 @@ def test_usage_errors_exit_64():
     assert run_cli("no-such-command").returncode == USAGE
     assert run_cli("search", "--group", "4").returncode == USAGE  # missing --H
     assert run_cli("search", "--group", "abc", "--H", "2").returncode == USAGE
-    assert run_cli("search", "--group", "4", "--H", "1,1").returncode == USAGE
+    r = run_cli("search", "--group", "4", "--H", "1,1")
+    assert r.returncode == USAGE and "expected 1 coordinates" in r.stderr
+    r = run_cli("search", "--group", ",", "--H", "1")
+    assert r.returncode == USAGE and "at least one cyclic factor" in r.stderr
+    r = run_cli("search", "--group", "4", "--H", ";")
+    assert r.returncode == USAGE and "order at least 2" in r.stderr
     assert run_cli("verify-starter", "-", stdin="{not json").returncode == USAGE
     assert run_cli("verify-starter", "-", stdin='{"x": 1}').returncode == USAGE
     assert run_cli("construct", "--family", "prime-power").returncode == USAGE

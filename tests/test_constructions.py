@@ -11,7 +11,6 @@ from oracles import every_translation_invariant
 from starfact import constructions, starters
 from starfact.cayley import build_model
 from starfact.constructions import (
-    NonexistenceCertificate,
     classify_existence,
     construct_prime_power,
     double_starter,
@@ -211,14 +210,14 @@ def test_doubling_rejects_bad_input():
 
 def test_parity_certificate_values():
     cert = parity_nonexistence(3, 2)
-    assert isinstance(cert, NonexistenceCertificate)
-    assert (cert.d, cert.type_zero_count, cert.residue_mod_4) == (1, 2, 2)
-    assert cert.payload()["type"] == "parity_nonexistence"
+    assert (cert["d"], cert["type_zero_count"], cert["residue_mod_4"]) == (1, 2, 2)
+    assert cert["type"] == "parity_nonexistence"
 
     cert = parity_nonexistence(7, 6)
-    assert (cert.d, cert.type_zero_count, cert.residue_mod_4) == (3, 18, 2)
+    assert (cert["d"], cert["type_zero_count"], cert["residue_mod_4"]) == (3, 18, 2)
+    assert classify_existence(7, 6).payload()["certificate"] == parity_nonexistence(7, 6)
 
-    assert parity_nonexistence(11, 2).type_zero_count == 10
+    assert parity_nonexistence(11, 2)["type_zero_count"] == 10
     assert parity_nonexistence(5, 2) is None  # m = 1 mod 4
     assert parity_nonexistence(3, 4) is None  # d even
     assert parity_nonexistence(3, 3) is None  # n odd
@@ -229,8 +228,8 @@ def test_parity_count_is_always_2_mod_4_when_applicable():
         for d in range(1, 12, 2):
             cert = parity_nonexistence(m, 2 * d)
             assert cert is not None
-            assert cert.type_zero_count == d * (m - 1)
-            assert cert.residue_mod_4 == 2
+            assert cert["type_zero_count"] == d * (m - 1)
+            assert cert["residue_mod_4"] == 2
 
 
 def test_classification_table():

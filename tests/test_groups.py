@@ -381,7 +381,7 @@ def test_arithmetic_properties_random_sweep():
     for _ in range(1000):
         g = _random_group(rng)
         o = g.cyclic_orders
-        zero = (0,) * g.rank
+        zero = (0,) * len(g.cyclic_orders)
         elems = g.elements()
         a = rng.choice(elems)
         b = rng.choice(elems)
@@ -448,7 +448,7 @@ def test_involution_count_random_sweep():
     for _ in range(200):
         g = _random_group(rng)
         o = g.cyclic_orders
-        zero = (0,) * g.rank
+        zero = (0,) * len(g.cyclic_orders)
         s = sum(1 for n in g.cyclic_orders if n % 2 == 0)
         assert len(g.involutions) == 2**s - 1
         for i in g.involutions:

@@ -329,6 +329,23 @@ def test_moves_apply_no_child_that_fails_the_slot_bound(monkeypatch):
     assert cut > 0
 
 
+def test_search_reads_membership_from_the_companions_coset_indices():
+    # A companion's coset index is its membership test (coset 0), so the
+    # search keeps references to those tables and builds no |G|-entry copy.
+    model = _model([2, 6], [(1, 0)])
+    ctx = starfact.search._Ctx(model)
+    order = model.group.order
+    for value in vars(ctx).values():
+        assert not (
+            isinstance(value, list)
+            and value
+            and all(isinstance(v, list) and len(v) == order for v in value)
+        )
+    assert len(ctx.cosets) == len(ctx.companions)
+    for coset, comp in zip(ctx.cosets, ctx.companions):
+        assert coset is comp.coset_of
+
+
 def test_bad_mode_and_budget_zero():
     m = _model([4], [(2,)])
     with pytest.raises(ValueError, match="mode"):
