@@ -38,7 +38,7 @@ from .search import (
     search_starter,
 )
 from .serialize import (
-    canonical_json,
+    canonical_parts,
     factorization_from_payload,
     factorization_payload,
     generators_payload,
@@ -88,12 +88,13 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_parts(path: str, parts) -> None:
+    """Write the strs of parts one by one, never joined."""
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(parts)
 
 
 def _read_json(path: str, load):
@@ -296,9 +297,9 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         payload, code, model = args.func(args)
-        _write_text(args.out, canonical_json(payload))
+        _write_parts(args.out, canonical_parts(payload))
         if getattr(args, "emit_edges", None):
-            _write_text(args.emit_edges, export_edge_list(model))
+            _write_parts(args.emit_edges, [export_edge_list(model)])
         return code
     except InvalidStarterError as exc:
         sys.stderr.write(exc.report.summary() + "\n")

@@ -1,10 +1,13 @@
 """JSON wire formats for groups, starters, and factorizations.
 
-Every artifact is written by canonical_json, whose text is byte for byte
-that of json.dumps(payload, indent=2, sort_keys=True) plus a newline, so
-identical inputs give identical files.  Starter edges are written in
-coordinates, converted here, and factorization edges as [u, v] vertex-index
-pairs, straight from the factorization's own (u, v) tuples.
+Every artifact is encoded by canonical_parts, whose parts join to the text
+of json.dumps(payload, indent=2, sort_keys=True) plus a newline, byte for
+byte, so identical inputs give identical files.  A factor is one part, and
+the command line writes the parts one by one, so a large factorization's
+text is never held whole; canonical_json joins them for a caller that
+wants one str.  Starter edges are written in coordinates, converted here,
+and factorization edges as [u, v] vertex-index pairs, straight from the
+factorization's own (u, v) tuples.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .groups import AbelianGroup, Subgroup, make_group, subgroup_from_generators
 from .starters import OneFactorization, Starter, StarterSet
 
 __all__ = [
-    "canonical_json",
+    "canonical_parts",
     "group_payload",
     "generators_payload",
     "starter_payload",
@@ -34,8 +37,11 @@ class _Unhandled(Exception):
     """A value _encode leaves to json.dumps."""
 
 
-def canonical_json(payload) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True) + "\n", byte for byte.
+def canonical_parts(payload) -> list[str]:
+    """The text of json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    byte for byte, as a list of parts in order: one per factor or other
+    list of ints or int rows, plus the small pieces between.  A writer that
+    sends them one by one never holds the artifact's text whole.
 
     The indenting encoder of json is pure Python, one generator step per
     value.  _encode writes the same text but joins a list of ints, or a
@@ -44,19 +50,30 @@ def canonical_json(payload) -> str:
     bool and None; a payload holding any other value, a subclass of one of
     these included, goes to json.dumps whole, as does one nested too deep
     to recurse, so its text or its error is the json module's."""
+    parts: list[str] = []
     try:
-        return _encode(payload, "\n") + "\n"
+        _encode(payload, "\n", parts)
     except (_Unhandled, RecursionError):
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return [json.dumps(payload, indent=2, sort_keys=True), "\n"]
+    parts.append("\n")
+    return parts
 
 
-def _encode(x, newline: str) -> str:
-    """x as json.dumps(x, indent=2, sort_keys=True) writes it, tuples as
-    arrays, at the depth whose line break plus indent is newline."""
+def canonical_json(payload) -> str:
+    """The canonical text as one str, the parts of canonical_parts joined;
+    the command line writes the parts instead."""
+    return "".join(canonical_parts(payload))
+
+
+def _encode(x, newline: str, out: list[str]) -> None:
+    """Append x to out as json.dumps(x, indent=2, sort_keys=True) writes
+    it, tuples as arrays, at the depth whose line break plus indent is
+    newline.  A list of ints or of int rows is one part."""
     kind = type(x)
     if kind is list or kind is tuple:
         if not x:
-            return "[]"
+            out.append("[]")
+            return
         inner = newline + "  "
         sep = "," + inner
         types = set(map(type, x))
@@ -74,21 +91,32 @@ def _encode(x, newline: str) -> str:
             line = "[" + deeper + ("," + deeper).join(["%d"] * len(x[0])) + inner + "]"
             body = sep.join([line] * len(x)) % ints
         else:
-            body = sep.join([_encode(e, inner) for e in x])
-        return "[" + inner + body + newline + "]"
+            for i, e in enumerate(x):
+                out.append(sep if i else "[" + inner)
+                _encode(e, inner, out)
+            out.append(newline + "]")
+            return
+        out.append("[" + inner + body + newline + "]")
+        return
     if kind is dict:
         if not x:
-            return "{}"
+            out.append("{}")
+            return
         if set(map(type, x)) != {str}:
             raise _Unhandled
         inner = newline + "  "
-        items = [json.dumps(k) + ": " + _encode(x[k], inner) for k in sorted(x)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        sep = "," + inner
+        for i, k in enumerate(sorted(x)):
+            out.append((sep if i else "{" + inner) + json.dumps(k) + ": ")
+            _encode(x[k], inner, out)
+        out.append(newline + "}")
+        return
     if kind is int:
-        return str(x)
-    if kind is str or kind is float or kind is bool or x is None:
-        return json.dumps(x)
-    raise _Unhandled
+        out.append(str(x))
+    elif kind is str or kind is float or kind is bool or x is None:
+        out.append(json.dumps(x))
+    else:
+        raise _Unhandled
 
 
 def group_payload(group: AbelianGroup) -> dict:
@@ -147,7 +175,7 @@ def starter_from_payload(payload: dict) -> Starter:
 
 
 def factorization_payload(fact: OneFactorization) -> dict:
-    """The factorization's own factors, which canonical_json writes as arrays."""
+    """The factorization's own factors, which canonical_parts writes as arrays."""
     return {
         "group": group_payload(fact.model.group),
         "H_generators": generators_payload(fact.model.H),

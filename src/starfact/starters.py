@@ -21,12 +21,14 @@ from that one pass, and construct_prime_power reads its counts to find the
 differences its family leaves uncovered.
 A one-factorization's factors are sorted tuples of pairs.  Develop and
 invariance work a factor at a time on its mate list, mate[u] = v and
-mate[v] = u; OneFactorization.mates builds them once per factorization for
-verification and invariance to share.  Translating the matching by r is
-the permutation r.m.r^-1, composed in C by operator.itemgetter over
-translation rows.  The group builds a fresh row at each call, so
-develop_factorization keeps the rows it reuses for the one call, and
-check_invariance builds one row per generator of the group.
+mate[v] = u; OneFactorization.mates builds them once per factorization, as
+tuples, for verification and invariance to share.  Translating the
+matching by r is the permutation r.m.r^-1, composed in C by
+operator.itemgetter over translation rows.  The group builds a fresh row
+at each call, so develop_factorization keeps the rows it reuses for the
+one call, and check_invariance builds one row and one inverse row per
+generator of the group and looks each translated mate tuple up in one set
+of the factorization's own.
 """
 
 from __future__ import annotations
@@ -79,10 +81,11 @@ class OneFactorization:
     factors: tuple[tuple[tuple[int, int], ...], ...]
 
     @cached_property
-    def mates(self) -> tuple[list[int] | None, ...]:
-        """Each factor's mate list, or None when it is no perfect matching:
+    def mates(self) -> tuple[tuple[int, ...] | None, ...]:
+        """Each factor's mate tuple, or None when it is no perfect matching:
         order / 2 edges that leave no vertex unmatched cover each once.
-        Built on first use and shared by verification and invariance."""
+        Built once, on first use, and shared by verification and
+        invariance; invariance looks translated mate tuples up among them."""
         order = self.model.group.order
         out = []
         for factor in self.factors:
@@ -90,7 +93,7 @@ class OneFactorization:
             for u, v in factor:
                 mate[u] = v
                 mate[v] = u
-            out.append(None if 2 * len(factor) != order or -1 in mate else mate)
+            out.append(None if 2 * len(factor) != order or -1 in mate else tuple(mate))
         return tuple(out)
 
 
@@ -283,17 +286,23 @@ def check_invariance(fact: OneFactorization) -> bool:
     """True when translating any factor by any element of fact.model.group
     lands on a factor.  Only the rows of AbelianGroup.generators are built
     and tried: every translation is a composite of theirs.  When every
-    factor is a perfect matching they are compared as mate lists, else as
-    sorted pair tuples."""
+    factor is a perfect matching, each mate tuple m is moved by each row to
+    row.m.row^-1 (the inverse row is the translation by -g) and looked up
+    in the set of mate tuples; moving is injective, so the translates all
+    lie in that set exactly when they are that set.  Otherwise the factors
+    are compared as sorted pair tuples."""
     group = fact.model.group
-    rows = [group.translation(g) for g in group.generators]
+    gens = group.generators
+    rows = [group.translation(g) for g in gens]
     mates = fact.mates
     if None not in mates:
-        moves = [itemgetter(*m) for m in mates]  # moves[j](row) is row.m_j
-        for row in rows:
-            # row.m.row^-1 is a factor m_j exactly when row.m is m_j.row.
-            if {move(row) for move in moves} != set(map(itemgetter(*row), mates)):
-                return False
+        factors = set(mates)
+        backs = [itemgetter(*group.translation(group.negs[g])) for g in gens]  # row^-1
+        for m in mates:
+            move = itemgetter(*m)  # move(row) is row.m
+            for row, back in zip(rows, backs):
+                if back(move(row)) not in factors:
+                    return False
         return True
     keys = set(fact.factors)
     for row in rows:

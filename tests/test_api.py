@@ -184,8 +184,8 @@ def test_only_main_writes_in_the_cli():
     for stmt in tree.body:
         for node in ast.walk(stmt):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
-                "_write_text",
-                "canonical_json",
+                "_write_parts",
+                "canonical_parts",
             ):
                 writers.add(getattr(stmt, "name", None))
     assert writers == {"main"}

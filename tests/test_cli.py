@@ -14,6 +14,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -247,6 +248,27 @@ def test_emit_edges_writes_the_model_edge_list(tmp_path, capsys, args, code, mod
     capsys.readouterr()
     assert main([*args, "-o", "-", "--emit-edges", "-"]) == code
     assert capsys.readouterr().out == out.read_text() + edges.read_text()
+
+
+def test_develop_writes_the_artifact_in_parts(tmp_path, capsysbinary):
+    # main sends the artifact's parts, one per factor, to the file or to
+    # stdout without joining them, so developing the p = 13 starter peaks
+    # below 4x the 2.24 MB it writes; whole copies of the text would not.
+    starter = tmp_path / "starter.json"
+    starter.write_text(canonical_json(starter_payload(construct_prime_power(13, 2))))
+    out = tmp_path / "fact.json"
+    tracemalloc.start()
+    try:
+        assert main(["develop", str(starter), "-o", str(out)]) == OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 2_000_000
+    assert peak < 4 * size, peak / size
+    capsysbinary.readouterr()
+    assert main(["develop", str(starter)]) == OK
+    assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 def test_usage_errors_exit_64():

@@ -19,12 +19,25 @@ from starfact.cli import main
 from starfact.constructions import classify_existence, construct_prime_power, double_starter
 from starfact.groups import make_group
 from starfact.search import certify_nonexistence, search_starter
-from starfact.serialize import canonical_json, factorization_payload, starter_payload
+from starfact.serialize import (
+    canonical_json,
+    canonical_parts,
+    factorization_payload,
+    starter_payload,
+)
 from starfact.starters import Starter, StarterSet, develop_factorization, verify_starter
 
 
 def _reference(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _written(payload) -> str:
+    """The text cli.main writes: the parts of canonical_parts, each a str,
+    in order."""
+    parts = canonical_parts(payload)
+    assert all(type(part) is str for part in parts)
+    return "".join(parts)
 
 
 def _artifacts():
@@ -146,6 +159,7 @@ def test_random_payloads_match_json_dumps():
     for _ in range(3000):
         payload = _random_value(rng, 0)
         assert canonical_json(payload) == _reference(payload), payload
+        assert _written(payload) == _reference(payload), payload
 
 
 # JSON values.  nan and the infinities are drawn on their own too, since
@@ -175,3 +189,4 @@ _json_values = st.recursive(
 @given(_json_values)
 def test_generated_payloads_match_json_dumps(payload):
     assert canonical_json(payload) == _reference(payload)
+    assert _written(payload) == _reference(payload)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import tracemalloc
 from itertools import chain
 
 import pytest
@@ -328,6 +330,24 @@ def test_check_invariance_matches_every_translation():
     # rest invariant exactly when every translation fixes that factor; the
     # merged factor, the whole edge set, is fixed by every translation.
     assert verdicts == [[0, 220], [0, 220], [72, 148], [220, 0], [220, 0], [0, 220], [0, 220]]
+
+
+def test_check_invariance_looks_translates_up_among_the_mate_tuples():
+    # Each translate row.m.row^-1 is looked up in one set of the mate
+    # tuples themselves, so on the developed p = 13 factorization, mates
+    # built, the check allocates under a quarter of the tuples' size: it
+    # keeps no getter per factor and no set of translated tuples.
+    fact = develop_factorization(construct_prime_power(13, 2))
+    mates = fact.mates
+    assert all(type(m) is tuple for m in mates)
+    size = sum(map(sys.getsizeof, mates))
+    tracemalloc.start()
+    try:
+        assert check_invariance(fact)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 4, peak / size
 
 
 def test_witness_json_round_trips_are_byte_stable():
