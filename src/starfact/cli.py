@@ -97,12 +97,23 @@ def _write_parts(path: str, parts) -> None:
         fh.writelines(parts)
 
 
+class _Ints(dict):
+    """Each int text's int, made on first lookup: the parse_int of one read."""
+
+    def __missing__(self, text: str) -> int:
+        value = self[text] = int(text)
+        return value
+
+
 def _read_json(path: str, load):
-    """load applied to the JSON document at path.  A KeyError or TypeError
-    while the document loads, or nesting too deep for the parser, is
-    malformed input, as a syntax error is; anywhere else it is a bug."""
+    """load applied to the JSON document at path.  Equal int texts in the
+    document parse to one int object, through a memo made for this read,
+    so a factorization's vertices are shared, not made once per mention.
+    A KeyError or TypeError while the document loads, or nesting too deep
+    for the parser, is malformed input, as a syntax error is; anywhere else
+    it is a bug."""
     try:
-        return load(json.loads(_read_text(path)))
+        return load(json.loads(_read_text(path), parse_int=_Ints().__getitem__))
     except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(exc) from None
 

@@ -7,7 +7,9 @@ the command line writes the parts one by one, so a large factorization's
 text is never held whole; canonical_json joins them for a caller that
 wants one str.  Starter edges are written in coordinates, converted here,
 and factorization edges as [u, v] vertex-index pairs, straight from the
-factorization's own (u, v) tuples.
+factorization's own (u, v) tuples.  A factorization document whose
+factors are all perfect matchings of in-range [u, v] lists loads as mate
+tuples alone, with no pair tuple made; any other loads as pairs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from operator import lt
 
 from .cayley import CayleyModel, build_model
 from .groups import AbelianGroup, Subgroup, make_group, subgroup_from_generators
-from .starters import OneFactorization, Starter, StarterSet
+from .starters import OneFactorization, Starter, StarterSet, _mate_tuple
 
 __all__ = [
     "canonical_parts",
@@ -183,27 +185,45 @@ def factorization_payload(fact: OneFactorization) -> dict:
     }
 
 
+def _in_range(raw, order: int) -> bool:
+    """True when raw is a factor of [u, v] int lists with
+    0 <= u < v < order, which passes the checks of CayleyModel.pair in
+    bulk."""
+    if type(raw) is not list or set(map(type, raw)) != {list} or set(map(len, raw)) != {2}:
+        return False
+    ends = list(chain.from_iterable(raw))
+    us, vs = ends[::2], ends[1::2]
+    return (
+        set(map(type, ends)) == {int}
+        and all(map(lt, us, vs))
+        and 0 <= min(us)
+        and max(vs) < order
+    )
+
+
 def factorization_from_payload(payload: dict) -> OneFactorization:
     """Each edge passes the index checks of CayleyModel.pair, in input
     order, and becomes an ascending (u, v) pair; legality is left to
-    verify_factorization, which reports it."""
+    verify_factorization, which reports it.  When every factor passes the
+    checks in bulk and is a perfect matching, the factorization is built
+    from the factors' sorted mate tuples, and no pair tuple is made."""
     model = _model_from_payload(payload)
     order = model.group.order
+    raws = payload["factors"]
+    mates = []
+    for raw in raws:
+        mate = _mate_tuple(raw, order) if _in_range(raw, order) else None
+        if mate is None:
+            break
+        mates.append(mate)
+    else:
+        return OneFactorization._from_mates(model, tuple(sorted(mates)))
     factors = []
-    for raw in payload["factors"]:
-        # A factor of [u, v] int lists with 0 <= u < v < order passes the
-        # checks of pair in bulk; any other goes edge by edge through pair,
-        # which raises on the first fault.
-        if type(raw) is list and set(map(type, raw)) == {list} and set(map(len, raw)) == {2}:
-            ends = list(chain.from_iterable(raw))
-            us, vs = ends[::2], ends[1::2]
-            if (
-                set(map(type, ends)) == {int}
-                and all(map(lt, us, vs))
-                and 0 <= min(us)
-                and max(vs) < order
-            ):
-                factors.append(tuple(sorted(map(tuple, raw))))
-                continue
-        factors.append(tuple(sorted([model.pair(u, v) for u, v in raw])))
+    for raw in raws:
+        # A factor that fails the checks in bulk goes edge by edge through
+        # pair, which raises on the first fault.
+        if _in_range(raw, order):
+            factors.append(tuple(sorted(map(tuple, raw))))
+        else:
+            factors.append(tuple(sorted([model.pair(u, v) for u, v in raw])))
     return OneFactorization(model, tuple(sorted(factors)))

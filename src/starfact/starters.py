@@ -19,10 +19,13 @@ involution.  scan_sets reads each starter edge's difference once and
 judges all three conditions from it; verify_starter formats its messages
 from that one pass, and construct_prime_power reads its counts to find the
 differences its family leaves uncovered.
-A one-factorization's factors are sorted tuples of pairs.  Develop and
-invariance work a factor at a time on its mate list, mate[u] = v and
-mate[v] = u; OneFactorization.mates builds them once per factorization, as
-tuples, for verification and invariance to share.  Translating the
+A one-factorization's factors are sorted tuples of pairs.  Develop,
+verification and invariance work a factor at a time on its mate list,
+mate[u] = v and mate[v] = u, held as tuples in OneFactorization.mates.  A
+factorization that develop_factorization or the JSON loader builds from
+perfect matchings keeps only their sorted mate tuples and derives its
+pairs on first read, which only the writer does; verification and
+invariance read no pair unless a factor is faulty.  Translating the
 matching by r is the permutation r.m.r^-1, composed in C by
 operator.itemgetter over translation rows.  The group builds a fresh row
 at each call, so develop_factorization keeps the rows it reuses for the
@@ -75,26 +78,53 @@ class Starter:
 @dataclass(frozen=True)
 class OneFactorization:
     """Each factor is a sorted tuple of (u, v) vertex-index pairs with
-    u < v, and the factors are sorted."""
+    u < v, and the factors are sorted.  A factorization that develop or the
+    JSON loader builds from perfect matchings keeps only their sorted mate
+    tuples, and derives its factors from them on first read."""
 
     model: CayleyModel
     factors: tuple[tuple[tuple[int, int], ...], ...]
 
+    @classmethod
+    def _from_mates(cls, model: CayleyModel, mates: tuple[tuple[int, ...], ...]):
+        """The factorization whose factors are the perfect matchings with
+        the sorted mate tuples mates."""
+        fact = object.__new__(cls)
+        object.__setattr__(fact, "model", model)
+        fact.__dict__["mates"] = mates
+        return fact
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute never set: the factors of a
+        # factorization built by _from_mates, derived and kept on first read.
+        # Mate tuples sort as their pair tuples do, so the factors come out
+        # sorted.
+        if name != "factors" or "mates" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        factors = tuple(tuple([(u, v) for u, v in enumerate(m) if u < v]) for m in self.mates)
+        object.__setattr__(self, "factors", factors)
+        return factors
+
     @cached_property
     def mates(self) -> tuple[tuple[int, ...] | None, ...]:
-        """Each factor's mate tuple, or None when it is no perfect matching:
-        order / 2 edges that leave no vertex unmatched cover each once.
+        """Each factor's mate tuple, or None when it is no perfect matching.
         Built once, on first use, and shared by verification and
         invariance; invariance looks translated mate tuples up among them."""
         order = self.model.group.order
-        out = []
-        for factor in self.factors:
-            mate = [-1] * order
-            for u, v in factor:
-                mate[u] = v
-                mate[v] = u
-            out.append(None if 2 * len(factor) != order or -1 in mate else tuple(mate))
-        return tuple(out)
+        return tuple(_mate_tuple(factor, order) for factor in self.factors)
+
+
+def _mate_tuple(edges, order: int) -> tuple[int, ...] | None:
+    """mate[u] = v and mate[v] = u for the (u, v) vertex-index pairs of
+    edges, in range, as a tuple; None when they are no perfect matching:
+    order / 2 edges that leave no vertex unmatched cover each once."""
+    if 2 * len(edges) != order:
+        return None
+    mate = [-1] * order
+    for u, v in edges:
+        mate[u] = v
+        mate[v] = u
+    return None if -1 in mate else tuple(mate)
 
 
 @dataclass
@@ -234,14 +264,16 @@ def develop_factorization(starter: Starter) -> OneFactorization:
             seen.setdefault(itemgetter(*rows(negs[r]))(moved), None)  # y -> mate[y - r] + r
     # Mate lists first differ at a vertex below its mate in both, so they
     # sort as their pair tuples do.
-    factors = (tuple([(u, v) for u, v in enumerate(m) if u < v]) for m in sorted(seen))
-    return OneFactorization(model, tuple(factors))
+    return OneFactorization._from_mates(model, tuple(sorted(seen)))
 
 
 def verify_factorization(fact: OneFactorization) -> VerificationReport:
     """Check factors are perfect matchings of legal edges of fact.model,
     that they partition its edge set, and that there are exactly mn - n of
-    them."""
+    them.  When every factor is a perfect matching, one pass over each
+    vertex's mates decides the first two; the factors are read edge by
+    edge, with every fault reported in factor order, only when it finds a
+    fault or some factor is no perfect matching."""
     model = fact.model
     c1 = ConditionVerdict("factors are perfect matchings of legal edges")
     c2 = ConditionVerdict("factors partition the edge set")
@@ -250,35 +282,42 @@ def verify_factorization(fact: OneFactorization) -> VerificationReport:
     order = group.order
     el = group.elements()
     coset = model.H.coset_of
+    parts: list[list[int]] = [[] for _ in range(model.m)]
+    for v, c in enumerate(coset):
+        parts[c].append(v)
     mates = fact.mates
-    total = 0
-    for fi, (factor, mate) in enumerate(zip(fact.factors, mates)):
-        for u, v in factor:
-            if coset[u] == coset[v]:
-                d = el[group.difference(u, v)]
-                c1.fail(f"factor {fi}: illegal edge {el[u]}~{el[v]} (difference {d} in H)")
-        # Only a factor that is no perfect matching is counted vertex by vertex.
-        if mate is None:
-            covered = Counter(chain.from_iterable(factor))
-            bad = [el[v] for v in range(order) if covered[v] != 1]
-            if bad:
-                more = "..." if len(bad) > 4 else ""
-                c1.fail(f"factor {fi}: vertices covered != once: {bad[:4]}{more}")
-        total += len(factor)
     # Two perfect matchings share an edge exactly when some vertex has the
-    # same mate in both, so the factors are counted edge by edge only when
-    # a vertex's mates repeat or a factor is no perfect matching.
+    # same mate in both, and an edge lies inside a part exactly when a
+    # vertex's mate lies in its part.
+    faulty = None in mates or any(
+        len(seen := set(col)) < len(col) or not seen.isdisjoint(parts[coset[u]])
+        for u, col in enumerate(zip(*mates))
+    )
     dups = {}
-    if None in mates or any(len(set(col)) < len(col) for col in zip(*mates)):
+    if faulty:
+        for fi, (factor, mate) in enumerate(zip(fact.factors, mates)):
+            for u, v in factor:
+                if coset[u] == coset[v]:
+                    d = el[group.difference(u, v)]
+                    c1.fail(f"factor {fi}: illegal edge {el[u]}~{el[v]} (difference {d} in H)")
+            # Only a factor that is no perfect matching is counted vertex by vertex.
+            if mate is None:
+                covered = Counter(chain.from_iterable(factor))
+                bad = [el[v] for v in range(order) if covered[v] != 1]
+                if bad:
+                    more = "..." if len(bad) > 4 else ""
+                    c1.fail(f"factor {fi}: vertices covered != once: {bad[:4]}{more}")
         dups = {e: c for e, c in Counter(chain.from_iterable(fact.factors)).items() if c > 1}
     if dups:
         some = [(el[u], el[v]) for u, v in sorted(dups)[:4]]
         c2.fail(f"{len(dups)} edges appear in more than one factor, e.g. {some}")
+    # With no fault found, every factor is a perfect matching of order / 2 edges.
+    total = len(mates) * order // 2
     if c1.ok and not dups and total != model.edge_count:
         c2.fail(f"{total} distinct edges used, expected {model.edge_count}")
     expected = model.group.order - model.n
-    if len(fact.factors) != expected:
-        c3.fail(f"{len(fact.factors)} factors, expected {expected}")
+    if len(mates) != expected:
+        c3.fail(f"{len(mates)} factors, expected {expected}")
     return VerificationReport(c1.ok and c2.ok and c3.ok, c1, c2, c3)
 
 

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -29,11 +30,18 @@ from starfact.groups import make_group
 from starfact.search import search_starter
 from starfact.serialize import (
     canonical_json,
+    factorization_from_payload,
     factorization_payload,
     starter_from_payload,
     starter_payload,
 )
-from starfact.starters import Starter, StarterSet, develop_factorization
+from starfact.starters import (
+    Starter,
+    StarterSet,
+    check_invariance,
+    develop_factorization,
+    verify_factorization,
+)
 
 OK, FAIL, NONE, BUDGET, USAGE = 0, 1, 2, 3, 64
 
@@ -570,6 +578,55 @@ def test_messages_print_coordinates_on_a_noncyclic_group():
         ("factor count equals mn - n", False, ["9 factors, expected 10"]),
     )
 
+    # Factor 5 rewired, (0, 7) and (5, 6) to (0, 6) and (5, 7): still a
+    # perfect matching, with one edge inside a part and one edge of factor 6.
+    rewired = copy.deepcopy(fact)
+    rewired["factors"][5][0] = [0, 6]
+    rewired["factors"][5][5] = [5, 7]
+    illegal = "factor 5: illegal edge (0, 0)~(1, 0) (difference (1, 0) in H)"
+    shared = "1 edges appear in more than one factor, e.g. [((0, 5), (1, 1))]"
+    r = run_cli("verify-factorization", "-", "--invariance", stdin=json.dumps(rewired))
+    assert r.returncode == FAIL
+    assert r.stdout == _report(
+        ("factors are perfect matchings of legal edges", False, [illegal]),
+        ("factors partition the edge set", False, [shared]),
+        ("factor count equals mn - n", True, []),
+        invariant=False,
+    )
+
+    # Factor 0 rewired, (0, 1) and (6, 7) to (0, 6) and (1, 7): both new
+    # edges lie inside parts, so no edge is shared and only the parts
+    # reveal the fault.
+    inside = copy.deepcopy(fact)
+    inside["factors"][0][0] = [0, 6]
+    inside["factors"][0][3] = [1, 7]
+    r = run_cli("verify-factorization", "-", "--invariance", stdin=json.dumps(inside))
+    assert r.returncode == FAIL
+    assert r.stdout == _report(
+        ("factors are perfect matchings of legal edges", False, [
+            "factor 4: illegal edge (0, 0)~(1, 0) (difference (1, 0) in H)",
+            "factor 4: illegal edge (0, 1)~(1, 1) (difference (1, 0) in H)",
+        ]),
+        ("factors partition the edge set", True, []),
+        ("factor count equals mn - n", True, []),
+        invariant=False,
+    )
+
+    # The rewired factor 5, with factor 2 short of an edge: both faults, in factor order.
+    mixed = copy.deepcopy(rewired)
+    mixed["factors"][2].pop()
+    r = run_cli("verify-factorization", "-", "--invariance", stdin=json.dumps(mixed))
+    assert r.returncode == FAIL
+    assert r.stdout == _report(
+        ("factors are perfect matchings of legal edges", False, [
+            "factor 2: vertices covered != once: [(1, 2), (1, 4)]",
+            illegal,
+        ]),
+        ("factors partition the edge set", False, [shared]),
+        ("factor count equals mn - n", True, []),
+        invariant=False,
+    )
+
 
 def test_star_import_resolves_every_exported_name():
     # a name left in __all__ after its definition is gone fails here
@@ -843,3 +900,76 @@ def test_mutated_documents_exit_0_1_or_64(fuzz_dir, doc):
         ["verify-factorization", "--invariance", str(src)],
     ):
         assert main([*command, "-o", out]) in (OK, FAIL, USAGE), command
+
+
+def test_read_json_makes_one_int_per_int_text(tmp_path):
+    # Equal int texts in one document parse to one int object, so a loaded
+    # factorization's vertices are shared; a second read makes its own.
+    doc = {"a": [10**30, 10**30, -(10**30), 300, [300, 0.5, "300", True]], "b": 300}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    first = cli._read_json(str(path), lambda d: d)
+    assert first == json.loads(path.read_text()) == doc
+    assert first["a"][0] is first["a"][1] and type(first["a"][0]) is int
+    assert first["a"][3] is first["a"][4][0] is first["b"]
+    second = cli._read_json(str(path), lambda d: d)
+    assert second == first and second["a"][0] is not first["a"][0]
+
+
+def test_vertex_of_5000_digits_exits_64(tmp_path, capsys):
+    # The parser's own message for an int text past the interpreter's limit
+    # on digits, taken from the running interpreter.
+    digits = "1" * 5000
+    try:
+        int(digits)
+    except ValueError as exc:
+        message = str(exc)
+    fact = develop_factorization(starter_from_payload(_Z2Z6))
+    payload = json.loads(canonical_json(factorization_payload(fact)))
+    payload["factors"][0][0] = "vertex"
+    path = tmp_path / "fact.json"
+    path.write_text(json.dumps(payload).replace('"vertex"', f"[0, {digits}]"))
+    assert main(["verify-factorization", str(path)]) == USAGE
+    assert capsys.readouterr() == ("", f"bad input: {message}\n")
+
+
+@pytest.fixture(scope="module")
+def p13_factorization(tmp_path_factory):
+    """The developed p = 13 factorization and the path of its artifact."""
+    fact = develop_factorization(construct_prime_power(13, 2))
+    path = tmp_path_factory.mktemp("p13") / "fact.json"
+    path.write_text(canonical_json(factorization_payload(fact)))
+    assert path.stat().st_size == 2_352_160
+    return fact, path
+
+
+def test_verify_factorization_peaks_under_4_artifact_sizes(p13_factorization, tmp_path):
+    # verify-factorization --invariance holds the artifact's text, then its
+    # document, whose equal ints are shared, and then the mate tuples built
+    # from it; its traced peak stays under 3.8 times the artifact's size.
+    _, path = p13_factorization
+    out = str(tmp_path / "report.json")
+    tracemalloc.start()
+    try:
+        assert main(["verify-factorization", str(path), "--invariance", "-o", out]) == OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.8 * path.stat().st_size, peak / path.stat().st_size
+
+
+def test_loaded_factorization_keeps_only_its_mate_tuples(p13_factorization):
+    # A factorization of perfect matchings loads as mate tuples, and
+    # verifying it and checking its invariance build no pair tuples, so it
+    # keeps under half the size of its factors as pairs.
+    fact, path = p13_factorization
+    pairs = sum(map(sys.getsizeof, chain(fact.factors, *fact.factors)))
+    tracemalloc.start()
+    try:
+        loaded = cli._read_json(str(path), factorization_from_payload)
+        assert verify_factorization(loaded).passed and check_invariance(loaded)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < pairs / 2, kept / pairs
+    assert loaded.factors == fact.factors

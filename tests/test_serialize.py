@@ -22,10 +22,17 @@ from starfact.search import certify_nonexistence, search_starter
 from starfact.serialize import (
     canonical_json,
     canonical_parts,
+    factorization_from_payload,
     factorization_payload,
     starter_payload,
 )
-from starfact.starters import Starter, StarterSet, develop_factorization, verify_starter
+from starfact.starters import (
+    OneFactorization,
+    Starter,
+    StarterSet,
+    develop_factorization,
+    verify_starter,
+)
 
 
 def _reference(payload) -> str:
@@ -190,3 +197,27 @@ _json_values = st.recursive(
 def test_generated_payloads_match_json_dumps(payload):
     assert canonical_json(payload) == _reference(payload)
     assert _written(payload) == _reference(payload)
+
+
+def test_factorization_loads_the_same_in_any_order():
+    # The loader sorts the edges of each factor and then the factors, so a
+    # developed p = 5 document with both orders shuffled loads to the
+    # canonical factors and mate tuples; a document with a factor that is
+    # no perfect matching loads to its sorted pairs.
+    fact = develop_factorization(construct_prime_power(5, 2))
+    doc = json.loads(canonical_json(factorization_payload(fact)))
+    rng = random.Random(29)
+    factors = [rng.sample(f, len(f)) for f in doc["factors"]]
+    rng.shuffle(factors)
+    shuffled = {**doc, "factors": factors}
+    canonical = factorization_from_payload(doc)
+    loaded = factorization_from_payload(shuffled)
+    assert loaded.factors == canonical.factors == fact.factors
+    assert loaded.mates == canonical.mates == fact.mates
+    assert OneFactorization(fact.model, fact.factors).mates == fact.mates
+
+    factors[7].pop()
+    expected = tuple(sorted(tuple(sorted(map(tuple, f))) for f in shuffled["factors"]))
+    loaded = factorization_from_payload(shuffled)
+    assert loaded.factors == expected
+    assert loaded.mates.count(None) == 1
